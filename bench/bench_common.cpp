@@ -99,17 +99,39 @@ std::vector<dram::ModuleProfile> bench_modules(const BenchOptions& opt) {
   return modules;
 }
 
-core::StudyConfig study_config(const BenchOptions& opt) {
-  core::StudyConfig config;
-  config.sweep = sweep_config(opt);
-  config.modules = bench_modules(opt);
-  config.seed = opt.seed;
-  config.jobs = opt.jobs;
-  return config;
+core::CampaignPlan campaign_plan(const BenchOptions& opt) {
+  core::CampaignPlan plan;
+  plan.sweep = sweep_config(opt);
+  plan.modules = bench_modules(opt);
+  plan.seed = opt.seed;
+  plan.jobs = opt.jobs;
+  return plan;
 }
 
-core::CampaignPlan campaign_plan(const BenchOptions& opt) {
-  return core::CampaignPlan::from_study(study_config(opt));
+namespace {
+core::CampaignPlan module_plan(const dram::ModuleProfile& profile,
+                               const core::SweepConfig& sweep) {
+  core::CampaignPlan plan;
+  plan.sweep = sweep;
+  plan.modules = {profile};
+  return plan;
+}
+}  // namespace
+
+common::Expected<core::ModuleSweepResult> module_rowhammer_sweep(
+    const dram::ModuleProfile& profile, const core::SweepConfig& sweep) {
+  VPP_ASSIGN_OR_RETURN(
+      const auto grids,
+      core::CampaignEngine(module_plan(profile, sweep)).run_hammer());
+  return grids.front().to_sweep();
+}
+
+common::Expected<core::RetentionSweepResult> module_retention_sweep(
+    const dram::ModuleProfile& profile, const core::SweepConfig& sweep) {
+  VPP_ASSIGN_OR_RETURN(
+      const auto grids,
+      core::CampaignEngine(module_plan(profile, sweep)).run_retention());
+  return grids.front().to_sweep();
 }
 
 std::vector<core::ModuleSweepResult> run_rowhammer_all(

@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
       [&cfg](const dram::ModuleProfile& profile) {
         auto module_cfg = cfg;
         module_cfg.vpp_levels = {2.5, 2.0, profile.vppmin_v};
-        core::Study study(profile);
-        return study.retention_sweep(module_cfg);
+        return bench::module_retention_sweep(profile, module_cfg);
       });
   for (const auto& sweep : sweeps) {
     ++modules_tested;

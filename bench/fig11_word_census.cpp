@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "common/units.hpp"
 #include "harness/retention_test.hpp"
+#include "softmc/session.hpp"
 
 int main() {
   using namespace vppstudy;
@@ -36,8 +37,11 @@ int main() {
     std::uint64_t secded_uncorrectable_rows = 0;
 
     for (const auto& profile : chips::all_profiles()) {
-      core::Study study(profile);
-      auto& session = study.session();
+      // Characterization rig state (section 4.1): refresh off, 50C, then
+      // the retention setpoint below.
+      softmc::Session session(profile);
+      session.set_auto_refresh(false);
+      (void)session.set_temperature(common::kHammerTestTempC);
       if (!session.set_temperature(common::kRetentionTestTempC).ok()) continue;
       if (!session.set_vpp(profile.vppmin_v).ok()) continue;
       harness::RetentionTest test(session, harness::RetentionConfig{});

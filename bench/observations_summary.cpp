@@ -16,8 +16,7 @@ int main(int argc, char** argv) {
       [&cfg](const dram::ModuleProfile& profile) {
         auto module_cfg = cfg;
         module_cfg.vpp_levels = {2.5, profile.vppmin_v};
-        core::Study study(profile);
-        return study.rowhammer_sweep(module_cfg);
+        return bench::module_rowhammer_sweep(profile, module_cfg);
       });
   const auto obs = core::aggregate_observations(sweeps);
 

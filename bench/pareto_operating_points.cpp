@@ -37,9 +37,8 @@ void frontier_for(const char* module_name, const char* note) {
 
   for (double vpp = 2.5; vpp >= profile.vppmin_v - 1e-9; vpp -= 0.2) {
     // (1) security
-    core::Study study(profile);
     cfg.vpp_levels = {vpp};
-    auto sweep = study.rowhammer_sweep(cfg);
+    auto sweep = bench::module_rowhammer_sweep(profile, cfg);
     if (!sweep) continue;
     const auto hc = sweep->min_hc_first_at(0);
 

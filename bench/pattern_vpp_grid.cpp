@@ -34,7 +34,6 @@
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "core/fuzz_campaign.hpp"
-#include "core/parallel_study.hpp"
 #include "harness/pattern_fuzzer.hpp"
 #include "harness/pattern_spec.hpp"
 

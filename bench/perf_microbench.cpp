@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "chips/module_db.hpp"
@@ -232,9 +233,17 @@ void BM_StudySweep(benchmark::State& state) {
   opt.vpp_step = 0.4;
   opt.jobs = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    core::ParallelStudy engine(bench::study_config(opt));
-    auto sweeps = engine.rowhammer_sweeps();
-    if (!sweeps) state.SkipWithError(sweeps.error().message.c_str());
+    core::CampaignEngine engine(bench::campaign_plan(opt));
+    auto grids = engine.run_hammer();
+    if (!grids) {
+      state.SkipWithError(grids.error().message.c_str());
+      break;
+    }
+    std::vector<core::ModuleSweepResult> sweeps;
+    sweeps.reserve(grids->size());
+    for (const core::HammerGrid& grid : *grids) {
+      sweeps.push_back(grid.to_sweep());
+    }
     benchmark::DoNotOptimize(sweeps);
   }
   state.counters["jobs"] = static_cast<double>(

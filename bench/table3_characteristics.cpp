@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
           -> common::Expected<std::string> {
         auto module_cfg = cfg;
         module_cfg.vpp_levels = {2.5, profile.vppmin_v};
-        core::Study study(profile);
-        auto sweep = study.rowhammer_sweep(module_cfg);
+        auto sweep = bench::module_rowhammer_sweep(profile, module_cfg);
         if (!sweep) return sweep.error();
         const std::size_t last = sweep->vpp_levels.size() - 1;
         char line[256];

@@ -2,7 +2,7 @@
 //
 // A CancelToken is a cheap shared handle onto one atomic flag: the vppd
 // daemon hands a token to every queued job, sweeps check it between sampled
-// rows (core/parallel_study), and a client cancel request flips the flag
+// rows (core/shard), and a client cancel request flips the flag
 // from another thread. Checks are acquire loads, cancel() is a release
 // store -- no locks on the hot path. A default-constructed token is "never
 // cancelled" and costs one shared_ptr; all existing call sites that do not

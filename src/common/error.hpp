@@ -3,7 +3,7 @@
 // a machine-readable ErrorCode plus structured context (module name,
 // bank/row, VPP in millivolts, command kind) and a breadcrumb chain added
 // via with_context() as the error propagates upward. By the time a failure
-// surfaces in core::parallel_study we still know which module, VPP level,
+// surfaces in core::CampaignEngine we still know which module, VPP level,
 // and command produced it -- the paper's methodology depends on the host
 // software being able to attribute every failure (sections 4.1-4.3).
 #pragma once

@@ -9,7 +9,7 @@
 //
 // Determinism contract: the pool schedules *when* tasks run, never *what*
 // they compute. Sweep jobs derive every random quantity from their own
-// counter-based stream (see core/parallel_study), so any interleaving --
+// counter-based stream (see core/shard), so any interleaving --
 // including the 0-worker inline fallback -- produces identical results.
 #pragma once
 
@@ -102,7 +102,7 @@ class ThreadPool {
 /// pool, or the coordinator). Tasks call local(pool) to get the slot of the
 /// thread they happen to run on; because a slot is only ever touched by its
 /// owning thread, no synchronization is needed, and the values persist
-/// across submissions -- this is how core/parallel_study reuses one rig
+/// across submissions -- this is how core::CampaignEngine reuses one rig
 /// Session per (worker, module) across shard jobs.
 ///
 /// Lifetime rule: construct the WorkerLocal BEFORE the pool it serves (so it

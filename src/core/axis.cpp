@@ -8,7 +8,7 @@
 
 namespace vppstudy::core {
 
-// Defined in parallel_study.cpp (the legacy seed functions live with the
+// Defined in shard.cpp (the legacy seed functions live with the
 // shard primitives); declared here to avoid the include cycle.
 std::uint64_t vpp_millivolts(double vpp_v) noexcept;
 std::uint64_t row_stream_seed(std::uint64_t seed, std::uint64_t module_seed,

@@ -332,17 +332,6 @@ common::Result<ManifestShard> parse_manifest_shard(const JsonValue& item,
   return shard;
 }
 
-CampaignPlan CampaignPlan::from_study(StudyConfig config) {
-  CampaignPlan plan;
-  plan.sweep = std::move(config.sweep);
-  plan.modules = std::move(config.modules);
-  plan.seed = config.seed;
-  plan.jobs = config.jobs;
-  plan.rows_per_shard = config.rows_per_shard;
-  plan.cancel = config.cancel;
-  return plan;
-}
-
 std::uint64_t CampaignPlan::digest(JobPhase phase) const {
   std::uint64_t h = common::hash_key(
       {0x766361706c616eULL,  // "vcaplan" domain separator
@@ -402,7 +391,7 @@ std::uint64_t CampaignPlan::digest(JobPhase phase) const {
   return h;
 }
 
-// --- Grid -> legacy sweep conversions ----------------------------------------
+// --- Grid -> per-level sweep conversions -------------------------------------
 // Byte-exact replicas of the pre-engine reductions: same iteration order,
 // same float accumulation order.
 

@@ -1,15 +1,27 @@
-// The unified campaign engine.
+// The campaign engine: the one way to run a characterization campaign.
 //
-// One layered orchestrator replaces the four historical drivers (core/study
-// serial, core/parallel_study sharded, core/resilient_study retry/quarantine,
-// and the vppd service's in-house shard planner): a declarative CampaignPlan
-// -- sweep + extra axes + modules + seed + shard granularity -- is compiled
-// into (module, grid point, row-range shard) units and executed by
-// CampaignEngine on a work-stealing pool with worker-local session arenas.
-// The old facades survive as thin adapters and their outputs stay
-// byte-identical: a VPP-only plan produces exactly the job set, stream keys,
-// and assembly order the pre-engine code produced (core/axis.hpp explains
-// the seed-normalization rule that makes this hold).
+// A declarative CampaignPlan -- sweep + extra axes + modules + seed + shard
+// granularity -- is compiled into (module, grid point, row-range shard)
+// units, and CampaignEngine executes them on a work-stealing pool with
+// worker-local session arenas:
+//
+//   core::CampaignPlan plan;
+//   plan.sweep = core::SweepConfig::quick();   // VPP levels, row sampling
+//   plan.modules = {chips::profile_by_name("B3").value()};
+//   plan.jobs = 4;                             // any count, same bytes
+//   auto grids = core::CampaignEngine(plan).run_hammer();   // Alg. 1
+//   const core::ModuleSweepResult sweep = grids->front().to_sweep();
+//
+// run_trcd() and run_retention() run Alg. 2 and 3 over the same plan;
+// run_resilient() is the fault-injected retry/quarantine campaign. Every
+// front end builds a plan: the benches, vppctl, and the vppd daemon (whose
+// request -> plan expansion lives in server/service.hpp).
+//
+// Rig sessions are not rebuilt per shard: each worker keeps one Session per
+// module in a WorkerLocal arena and re-checks it out with
+// Session::reset_for_job(), which restores fresh-rig state while retaining
+// the device's per-row physics caches (the expensive part). Plans that
+// compile to only a few units skip the pool and run inline.
 //
 // Layers the engine composes:
 //
@@ -17,7 +29,7 @@
 //    session runs. The vppd daemon adapts its content-addressed ResultCache
 //    to this interface; rows served from the store are merged with computed
 //    rows and the merged output is bit-identical to a fresh run, because
-//    every row is a pure function of its stream key.
+//    every row is a pure function of its stream key (core/shard.hpp).
 //
 //  * Campaign manifest -- optional checkpoint/resume. When
 //    CampaignPlan::manifest_path is set, the engine serializes a manifest
@@ -48,10 +60,12 @@
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "core/axis.hpp"
-#include "core/parallel_study.hpp"
-#include "core/resilient_study.hpp"
+#include "core/shard.hpp"
 #include "core/study.hpp"
 #include "dram/profile.hpp"
+#include "harness/recovery.hpp"
+#include "softmc/fault_injector.hpp"
+#include "softmc/trace_dump.hpp"
 
 namespace vppstudy::softmc {
 class Session;
@@ -66,11 +80,26 @@ struct CampaignPlan {
   SweepConfig sweep;
   CampaignAxes axes;
   std::vector<dram::ModuleProfile> modules;
+  /// Base seed of the per-row noise streams. Campaigns with different seeds
+  /// see independent measurement noise; the device physics (which cells are
+  /// weak, where flips land) is keyed by each module's own profile seed and
+  /// does not change.
   std::uint64_t seed = 0;
-  /// Worker threads (StudyConfig::jobs semantics). Not part of the plan
+  /// Worker threads: 1 runs units inline on the calling thread, >= 2 spawns
+  /// that many workers, 0 or negative uses all hardware threads. The engine
+  /// never spawns more workers than there are units. Not part of the plan
   /// identity: any jobs count produces byte-identical results.
   int jobs = 1;
+  /// Shard granularity: sampled rows per shard unit within one (module,
+  /// grid point) cell; 0 means one shard per cell. Smaller shards expose
+  /// more parallelism when the grid has fewer cells than cores. Per-row
+  /// noise streams make results bit-identical at any value.
   std::uint32_t rows_per_shard = 4;
+  /// Cooperative cancellation: shard units poll this between sampled rows
+  /// and fail with kCancelled, so a cancelled campaign drains in at most one
+  /// row's worth of work per in-flight shard. Rows finished before the
+  /// cancel are complete and valid (never torn) -- the vppd result cache
+  /// relies on that. The default token never cancels.
   common::CancelToken cancel;
   /// Checkpoint file; empty disables checkpointing. The manifest is keyed
   /// by digest(phase), so one path serves one (plan, phase) pair.
@@ -80,9 +109,6 @@ struct CampaignPlan {
   /// deterministic "kill mid-campaign" used by the resume tests, and a
   /// budget knob for incremental fill-in of big grids.
   std::uint32_t max_new_shards = 0;
-
-  /// Lift a legacy StudyConfig into a VPP-only plan (the facade path).
-  [[nodiscard]] static CampaignPlan from_study(StudyConfig config);
 
   /// Hash of every result-affecting plan input for `phase`: seed, sampling,
   /// phase configs, VPP levels, axes, shard granularity (the manifest's
@@ -175,8 +201,9 @@ struct SessionArena {
 // --- Grid results ------------------------------------------------------------
 // One grid per module per phase: `cells[point][i]` is the result of sampled
 // row `rows[i]` at `points[point]`. For a VPP-only plan the points are
-// exactly the usable VPP levels and to_sweep() reproduces the legacy result
-// structs byte for byte.
+// exactly the usable VPP levels, and to_sweep() folds the grid into the
+// per-VPP-level series of core/study.hpp (the figures' and vppctl sweep's
+// shape).
 
 struct HammerGrid {
   std::string module_name;
@@ -315,6 +342,52 @@ void campaign_checkpoint_written();
 [[nodiscard]] common::Result<CampaignPlan> plan_from_manifest(
     const CampaignManifest& manifest);
 
+// --- Resilient campaign results ---------------------------------------------
+// CampaignEngine::run_resilient wraps the RowHammer campaign in the harness
+// retry/backoff policy (harness/recovery), with an optional deterministic
+// FaultInjector standing in for the misbehaving silicon the paper's rig saw
+// at reduced VPP. Each module gets a bounded attempt budget; transient typed
+// failures re-run the module with re-salted fault draws, persistent ones (or
+// an exhausted budget) quarantine it. Quarantined modules keep their failure
+// evidence -- the typed error, the attempt count, and a replayable trace
+// dump of the failing session -- and are excluded from cross-module
+// statistics (hc_first_cv). Partial results export via core/export's
+// campaign CSV/JSON with explicit status markers.
+
+/// Outcome of one module's campaign.
+struct ModuleCampaignResult {
+  std::string module_name;
+  bool completed = false;
+  std::uint32_t attempts = 0;  ///< sessions-of-record: 1 + retries
+  /// The final failure (quarantined modules only).
+  common::ErrorCode error_code = common::ErrorCode::kUnknown;
+  std::string error_message;
+  /// Valid when completed.
+  ModuleSweepResult sweep;
+  /// Injection tallies of the final attempt (what the module survived or
+  /// died to).
+  softmc::FaultInjector::InjectionCounts injections;
+  /// Replayable evidence of the failing session (quarantined modules only).
+  bool has_dump = false;
+  softmc::TraceDump dump;
+};
+
+struct CampaignResult {
+  std::vector<ModuleCampaignResult> modules;  ///< plan order
+  /// All sessions the campaign ran, failed attempts included, with retry
+  /// and quarantine accounting.
+  SweepInstrumentation instrumentation;
+  std::vector<harness::QuarantineRecord> quarantines;
+
+  [[nodiscard]] std::size_t completed_count() const noexcept;
+  /// Coefficient of variation of module-min HCfirst at the nominal level,
+  /// across *completed* modules only -- quarantined modules carry partial
+  /// or no data and would bias the spread (the paper's CV-across-repeats
+  /// methodology, section 4.6, applied across modules). 0 with fewer than
+  /// two completed modules.
+  [[nodiscard]] double hc_first_cv() const;
+};
+
 /// External execution context: the vppd daemon keeps a long-lived pool with
 /// warm session arenas across requests and lends it to each engine run. Both
 /// pointers must outlive the engine; pass {} to let each run build its own
@@ -341,10 +414,13 @@ class CampaignEngine {
   /// Alg. 3 over the grid (VPP x temperature).
   [[nodiscard]] common::Expected<std::vector<RetentionGrid>> run_retention();
 
-  /// The retry/quarantine RowHammer campaign (core/resilient_study's
-  /// engine): per-module attempt budgets, re-salted fault draws, quarantine
-  /// records with replayable trace dumps. Serial by design -- the failure
-  /// evidence of attempt N must not interleave with attempt N+1.
+  /// The retry/quarantine RowHammer campaign (see "Resilient campaign
+  /// results" above) over the plan's sweep, modules and seed; `faults` is
+  /// injected into every session (an empty plan runs clean) and
+  /// `trace_capacity` sizes each session's trace ring, whose contents become
+  /// the quarantine dump. Always returns a result: per-module failures are
+  /// recorded as quarantines, never propagated. Serial by design -- the
+  /// failure evidence of attempt N must not interleave with attempt N+1.
   [[nodiscard]] CampaignResult run_resilient(
       const softmc::FaultPlan& faults, const harness::RetryPolicy& retry,
       std::size_t trace_capacity);

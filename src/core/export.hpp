@@ -10,7 +10,6 @@
 #include "common/csv.hpp"
 #include "common/json.hpp"
 #include "core/campaign.hpp"
-#include "core/resilient_study.hpp"
 #include "core/study.hpp"
 
 namespace vppstudy::core {

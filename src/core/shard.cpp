@@ -1,11 +1,10 @@
-#include "core/parallel_study.hpp"
+#include "core/shard.hpp"
 
 #include <cmath>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/campaign.hpp"
 #include "dram/mapping.hpp"
 #include "harness/attack_patterns.hpp"
 #include "harness/retention_test.hpp"
@@ -146,15 +145,6 @@ common::Expected<HammerCell> run_hammer_rows(
   return out;
 }
 
-common::Expected<HammerCell> run_hammer_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    double vpp_v, std::span<const std::uint32_t> rows,
-    std::span<const dram::DataPattern> wcdp,
-    const common::CancelToken& cancel) {
-  return run_hammer_rows(session, sweep, seed, AxisPoint{vpp_v}, rows, wcdp,
-                         cancel);
-}
-
 common::Expected<HammerCell> run_pattern_rows(
     softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
     const AxisPoint& point, const harness::PatternSpec& spec,
@@ -279,14 +269,6 @@ common::Expected<TrcdCell> run_trcd_rows(softmc::Session& session,
   return out;
 }
 
-common::Expected<TrcdCell> run_trcd_rows(softmc::Session& session,
-                                         const SweepConfig& sweep,
-                                         std::uint64_t seed, double vpp_v,
-                                         std::span<const std::uint32_t> rows,
-                                         const common::CancelToken& cancel) {
-  return run_trcd_rows(session, sweep, seed, AxisPoint{vpp_v}, rows, cancel);
-}
-
 common::Expected<RetentionCell> run_retention_rows(
     softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
     const AxisPoint& point, std::span<const std::uint32_t> rows,
@@ -327,47 +309,6 @@ common::Expected<RetentionCell> run_retention_rows(
   }
   out.counts = session.counters();
   return out;
-}
-
-common::Expected<RetentionCell> run_retention_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    double vpp_v, std::span<const std::uint32_t> rows,
-    const common::CancelToken& cancel) {
-  return run_retention_rows(session, sweep, seed, AxisPoint{vpp_v}, rows,
-                            cancel);
-}
-
-ParallelStudy::ParallelStudy(StudyConfig config) : config_(std::move(config)) {}
-
-common::Expected<std::vector<ModuleSweepResult>>
-ParallelStudy::rowhammer_sweeps() {
-  CampaignEngine engine(CampaignPlan::from_study(config_));
-  VPP_ASSIGN_OR_RETURN(const std::vector<HammerGrid> grids,
-                       engine.run_hammer());
-  std::vector<ModuleSweepResult> sweeps;
-  sweeps.reserve(grids.size());
-  for (const HammerGrid& grid : grids) sweeps.push_back(grid.to_sweep());
-  return sweeps;
-}
-
-common::Expected<std::vector<TrcdSweepResult>> ParallelStudy::trcd_sweeps() {
-  CampaignEngine engine(CampaignPlan::from_study(config_));
-  VPP_ASSIGN_OR_RETURN(const std::vector<TrcdGrid> grids, engine.run_trcd());
-  std::vector<TrcdSweepResult> sweeps;
-  sweeps.reserve(grids.size());
-  for (const TrcdGrid& grid : grids) sweeps.push_back(grid.to_sweep());
-  return sweeps;
-}
-
-common::Expected<std::vector<RetentionSweepResult>>
-ParallelStudy::retention_sweeps() {
-  CampaignEngine engine(CampaignPlan::from_study(config_));
-  VPP_ASSIGN_OR_RETURN(const std::vector<RetentionGrid> grids,
-                       engine.run_retention());
-  std::vector<RetentionSweepResult> sweeps;
-  sweeps.reserve(grids.size());
-  for (const RetentionGrid& grid : grids) sweeps.push_back(grid.to_sweep());
-  return sweeps;
 }
 
 }  // namespace vppstudy::core

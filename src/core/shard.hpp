@@ -1,18 +1,10 @@
-// The parallel deterministic sweep engine.
+// Shard-level building blocks of core::CampaignEngine (core/campaign.hpp).
 //
 // A characterization campaign (Figs. 3-11) is an embarrassingly parallel grid
-// of (module, VPP level) cells, and each cell is itself a loop over sampled
+// of (module, grid point) cells, and each cell is itself a loop over sampled
 // rows whose results never interact (per-row physics snapshots, see
-// dram/module.hpp). This layer decomposes a StudyConfig into row-range
-// *shards* of those cells -- `rows_per_shard` rows per job -- runs them on a
-// work-stealing pool (common/thread_pool), and reassembles the per-module
-// sweep results in a fixed order. Sharding below the cell is what lets a
-// small campaign (few modules, few levels) keep every core busy.
-//
-// Rig sessions are not rebuilt per shard: each worker keeps one Session per
-// module in a WorkerLocal arena and re-checks it out with
-// Session::reset_for_job(), which restores fresh-rig state while retaining
-// the device's per-row physics caches (the expensive part).
+// dram/module.hpp). The engine cuts every cell into row-range *shards* and
+// computes each one with a call below on a worker's reused rig session.
 //
 // Determinism: every sampled row derives a private noise stream from
 //   hash_key({seed, module seed, VPP in millivolts, phase tag, row})
@@ -20,8 +12,7 @@
 // output is a pure function of its key -- never of scheduling, shard
 // granularity, or session reuse. `jobs = 1` and `jobs = N` produce
 // bit-identical results (and byte-identical CSV exports), and so do any two
-// `rows_per_shard` values. Campaigns planned below a small job-count
-// threshold skip the pool entirely and run inline.
+// `rows_per_shard` values.
 #pragma once
 
 #include <cstdint>
@@ -40,36 +31,6 @@ class Session;
 
 namespace vppstudy::core {
 
-/// A full multi-module campaign: what to sweep, on which modules, with which
-/// base seed for the per-row noise streams, and how many workers.
-struct StudyConfig {
-  SweepConfig sweep;
-  std::vector<dram::ModuleProfile> modules;
-  /// Base seed of the per-row noise streams. Campaigns with different seeds
-  /// see independent measurement noise; the device physics (which cells are
-  /// weak, where flips land) is keyed by each module's own profile seed and
-  /// does not change.
-  std::uint64_t seed = 0;
-  /// Worker threads: 1 runs jobs inline on the calling thread (serial),
-  /// >= 2 spawns that many workers, 0 or negative uses all hardware threads.
-  /// The engine additionally drops to inline execution when the planned job
-  /// count is too small for a pool to pay off, and never spawns more workers
-  /// than there are jobs.
-  int jobs = 1;
-  /// Shard granularity: sampled rows per shard job within one (module, VPP
-  /// level) cell. Smaller shards expose more parallelism when the grid has
-  /// fewer cells than cores; 0 means one shard per cell (the pre-sharding
-  /// behavior). Pure performance knob: per-row noise streams make results
-  /// bit-identical at any value.
-  std::uint32_t rows_per_shard = 4;
-  /// Cooperative cancellation: shard jobs poll this between sampled rows and
-  /// fail with kCancelled, so a cancelled campaign drains in at most one
-  /// row's worth of work per in-flight shard. Rows finished before the
-  /// cancel are complete and valid (never torn) -- the vppd result cache
-  /// relies on that. Default token never cancels.
-  common::CancelToken cancel;
-};
-
 // JobPhase and the multi-axis AxisPoint vocabulary live in core/axis.hpp.
 
 /// VPP level quantized to the millivolt grid of the rig's supply (stable
@@ -77,7 +38,8 @@ struct StudyConfig {
 [[nodiscard]] std::uint64_t vpp_millivolts(double vpp_v) noexcept;
 
 /// Stream seed of a whole-cell job: the WCDP prep pass (which walks all rows
-/// in one session) and core/resilient_study key their noise with this.
+/// in one session) and CampaignEngine::run_resilient key their noise with
+/// this.
 [[nodiscard]] std::uint64_t job_stream_seed(std::uint64_t seed,
                                             std::uint64_t module_seed,
                                             std::uint64_t vpp_mv,
@@ -93,12 +55,11 @@ struct StudyConfig {
                                             std::uint32_t row) noexcept;
 
 // --- Shard-level building blocks ---------------------------------------------
-// The engine below and the vppd characterization service both compose
-// campaigns from these: one function call computes one row-range slice of a
-// (module, VPP level) grid cell on a caller-provided session, with every
-// random quantity keyed per row (row_stream_seed). Because results are pure
-// functions of the row keys, a caller may regroup rows into any slices --
-// the vppd cache computes exactly the uncovered rows of a request and the
+// One function call computes one row-range slice of a (module, grid point)
+// cell on a caller-provided session, with every random quantity keyed per
+// row (row_stream_seed). Because results are pure functions of the row keys,
+// the engine may regroup rows into any slices -- with the vppd cache as its
+// CellStore it computes exactly the uncovered rows of a request, and the
 // output is bit-identical to a full in-process sweep.
 
 /// Concrete row addresses a campaign samples on `profile`: a pure function
@@ -126,16 +87,8 @@ struct HammerCell {
   softmc::CommandCounts counts;
 };
 
-[[nodiscard]] common::Expected<HammerCell> run_hammer_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    double vpp_v, std::span<const std::uint32_t> rows,
-    std::span<const dram::DataPattern> wcdp,
-    const common::CancelToken& cancel = {});
-
-/// Multi-axis form: one row-range slice at an arbitrary grid point
-/// (VPP x temperature x hammer count x on-time). `point` must be normalized
-/// (AxisPoint::normalized); a baseline point reproduces the VPP-only form
-/// byte for byte -- same session setup, same per-row stream keys.
+/// The grid point may be any normalized AxisPoint (AxisPoint::normalized):
+/// VPP x temperature x hammer count x on-time.
 [[nodiscard]] common::Expected<HammerCell> run_hammer_rows(
     softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
     const AxisPoint& point, std::span<const std::uint32_t> rows,
@@ -164,12 +117,7 @@ struct TrcdCell {
   softmc::CommandCounts counts;
 };
 
-[[nodiscard]] common::Expected<TrcdCell> run_trcd_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    double vpp_v, std::span<const std::uint32_t> rows,
-    const common::CancelToken& cancel = {});
-
-/// Multi-axis form (VPP x temperature; tRCD ignores the hammer axes).
+/// tRCD honors VPP x temperature and ignores the hammer axes.
 [[nodiscard]] common::Expected<TrcdCell> run_trcd_rows(
     softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
     const AxisPoint& point, std::span<const std::uint32_t> rows,
@@ -181,42 +129,10 @@ struct RetentionCell {
   softmc::CommandCounts counts;
 };
 
-[[nodiscard]] common::Expected<RetentionCell> run_retention_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    double vpp_v, std::span<const std::uint32_t> rows,
-    const common::CancelToken& cancel = {});
-
-/// Multi-axis form (VPP x temperature; retention ignores the hammer axes).
+/// Retention honors VPP x temperature and ignores the hammer axes.
 [[nodiscard]] common::Expected<RetentionCell> run_retention_rows(
     softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
     const AxisPoint& point, std::span<const std::uint32_t> rows,
     const common::CancelToken& cancel = {});
-
-/// Thin adapter over core::CampaignEngine (core/campaign.hpp): a VPP-only
-/// campaign plan executed by the unified engine. Kept as the stable sweep
-/// API; results are byte-identical to the pre-engine implementation (the
-/// equivalence suites pin this).
-class ParallelStudy {
- public:
-  explicit ParallelStudy(StudyConfig config);
-
-  [[nodiscard]] const StudyConfig& config() const noexcept { return config_; }
-
-  /// Alg. 1 over the whole grid; one ModuleSweepResult per module, in
-  /// config order. Fails on the first failing job (module order, then level
-  /// order, then shard order -- deterministic regardless of scheduling).
-  [[nodiscard]] common::Expected<std::vector<ModuleSweepResult>>
-  rowhammer_sweeps();
-
-  /// Alg. 2 over the grid (Fig. 7).
-  [[nodiscard]] common::Expected<std::vector<TrcdSweepResult>> trcd_sweeps();
-
-  /// Alg. 3 over the grid (Fig. 10).
-  [[nodiscard]] common::Expected<std::vector<RetentionSweepResult>>
-  retention_sweeps();
-
- private:
-  StudyConfig config_;
-};
 
 }  // namespace vppstudy::core

@@ -2,15 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-
-#include "common/units.hpp"
-#include "core/parallel_study.hpp"
 
 namespace vppstudy::core {
-
-using common::Error;
-using common::ErrorCode;
 
 std::string SweepInstrumentation::summary() const {
   std::string out = std::to_string(jobs) + " rig sessions";
@@ -100,13 +93,6 @@ std::vector<double> ModuleSweepResult::normalized_ber_at(
   return out;
 }
 
-Study::Study(const dram::ModuleProfile& profile) : session_(profile) {
-  // Characterization methodology (section 4.1): refresh disabled, which also
-  // neutralizes TRR; RowHammer and tRCD tests run at 50C.
-  session_.set_auto_refresh(false);
-  (void)session_.set_temperature(common::kHammerTestTempC);
-}
-
 std::vector<double> usable_vpp_levels(const SweepConfig& config,
                                       double vppmin_v) {
   std::vector<double> out;
@@ -114,48 +100,6 @@ std::vector<double> usable_vpp_levels(const SweepConfig& config,
     if (v >= vppmin_v - 1e-9) out.push_back(v);
   }
   return out;
-}
-
-namespace {
-
-// The serial facade delegates to the sweep engine with one module and inline
-// job execution: Study results are therefore bit-identical to what
-// ParallelStudy produces for the same module at any --jobs count.
-StudyConfig single_module_config(const dram::ModuleProfile& profile,
-                                 const SweepConfig& sweep) {
-  StudyConfig config;
-  config.sweep = sweep;
-  config.modules = {profile};
-  config.jobs = 1;
-  return config;
-}
-
-template <typename T>
-common::Expected<T> first_or_error(common::Expected<std::vector<T>> sweeps) {
-  if (!sweeps) return std::move(sweeps).error();
-  if (sweeps->empty()) {
-    return Error{ErrorCode::kEmptySample, "sweep produced no result"};
-  }
-  return std::move(sweeps->front());
-}
-
-}  // namespace
-
-common::Expected<ModuleSweepResult> Study::rowhammer_sweep(
-    const SweepConfig& config) {
-  ParallelStudy engine(single_module_config(profile(), config));
-  return first_or_error(engine.rowhammer_sweeps());
-}
-
-common::Expected<TrcdSweepResult> Study::trcd_sweep(const SweepConfig& config) {
-  ParallelStudy engine(single_module_config(profile(), config));
-  return first_or_error(engine.trcd_sweeps());
-}
-
-common::Expected<RetentionSweepResult> Study::retention_sweep(
-    const SweepConfig& config) {
-  ParallelStudy engine(single_module_config(profile(), config));
-  return first_or_error(engine.retention_sweeps());
 }
 
 Observations aggregate_observations(

@@ -1,12 +1,14 @@
-// Public facade: run the paper's characterization campaigns against a module
-// and aggregate the observations of sections 5 and 6.
+// The characterization vocabulary of sections 5 and 6: what one campaign
+// sweeps (SweepConfig), the per-module results it produces, and the headline
+// aggregates. Campaigns themselves run through core::CampaignEngine
+// (core/campaign.hpp):
 //
-// Quickstart:
-//   auto profile = chips::profile_by_name("B3").value();
-//   core::Study study(profile);
-//   core::SweepConfig cfg = core::SweepConfig::quick();
-//   auto sweep = study.rowhammer_sweep(cfg);
-//   auto obs = core::aggregate_observations({*sweep});
+//   core::CampaignPlan plan;
+//   plan.sweep = core::SweepConfig::quick();
+//   plan.modules = {chips::profile_by_name("B3").value()};
+//   auto grids = core::CampaignEngine(plan).run_hammer();
+//   const core::ModuleSweepResult sweep = grids->front().to_sweep();
+//   auto obs = core::aggregate_observations({&sweep, 1});
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@
 #include "harness/rowhammer_test.hpp"
 #include "harness/trcd_test.hpp"
 #include "softmc/counters.hpp"
-#include "softmc/session.hpp"
 
 namespace vppstudy::core {
 
@@ -53,9 +54,9 @@ struct SweepConfig {
 /// though jobs complete in scheduler order.
 struct SweepInstrumentation {
   std::uint64_t jobs = 0;  ///< rig sessions that contributed
-  /// Retry accounting (core/resilient_study): sessions re-run after a
-  /// transient failure, and modules given up on after the retry budget.
-  /// Plain sweeps leave both at zero.
+  /// Retry accounting (CampaignEngine::run_resilient): sessions re-run
+  /// after a transient failure, and modules given up on after the retry
+  /// budget. Plain sweeps leave both at zero.
   std::uint64_t retries = 0;
   std::uint64_t quarantined_modules = 0;
   softmc::CommandCounts counts;
@@ -129,26 +130,6 @@ struct RetentionSweepResult {
   std::vector<std::vector<double>> row_ber_at_reference;
   double reference_trefw_ms = 4000.0;
   SweepInstrumentation instrumentation;
-};
-
-class Study {
- public:
-  explicit Study(const dram::ModuleProfile& profile);
-
-  [[nodiscard]] softmc::Session& session() noexcept { return session_; }
-  [[nodiscard]] const dram::ModuleProfile& profile() const noexcept {
-    return session_.module().profile();
-  }
-
-  [[nodiscard]] common::Expected<ModuleSweepResult> rowhammer_sweep(
-      const SweepConfig& config);
-  [[nodiscard]] common::Expected<TrcdSweepResult> trcd_sweep(
-      const SweepConfig& config);
-  [[nodiscard]] common::Expected<RetentionSweepResult> retention_sweep(
-      const SweepConfig& config);
-
- private:
-  softmc::Session session_;
 };
 
 /// The headline aggregates of sections 5 and 8 (Takeaway 1).

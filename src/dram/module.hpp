@@ -114,9 +114,9 @@ class Module {
 
   /// Select an independent stream for the *sequential* noise draws (read
   /// jitter, hammer measurement noise) and restart their counters. Stream 0
-  /// reproduces the default sequence. The parallel sweep engine derives one
-  /// stream per (module, VPP level) job so that a job's results are a pure
-  /// function of its key, independent of scheduling (core/parallel_study).
+  /// reproduces the default sequence. The campaign engine derives one stream
+  /// per sampled row so that a row's results are a pure function of its
+  /// key, independent of scheduling (core/shard.hpp).
   void set_noise_stream(std::uint64_t stream) noexcept {
     noise_stream_ = stream;
     read_noise_counter_ = 0;

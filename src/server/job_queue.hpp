@@ -15,7 +15,7 @@
 // normally, so the completion path (sending the response, releasing the
 // quota slot) is uniform -- a cancelled pending job runs, observes its
 // token immediately, and reports kCancelled. Running jobs poll the token
-// between sampled rows (core/parallel_study), so a cancelled queue drains
+// between sampled rows (core/shard), so a cancelled queue drains
 // in at most one row's worth of work per worker.
 //
 // The queue owns a small set of dispatcher threads, distinct from the

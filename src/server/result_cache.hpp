@@ -1,6 +1,6 @@
 // Content-addressed result cache of the vppd daemon.
 //
-// The sweep engine's determinism contract (core/parallel_study: every
+// The campaign engine's determinism contract (core/shard.hpp: every
 // sampled row derives its noise from row_stream_seed, never from scheduling
 // or shard grouping) makes each grid cell -- one sampled row at one VPP
 // level under one experiment phase -- a pure function of its key. This cache
@@ -41,7 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/parallel_study.hpp"
+#include "core/shard.hpp"
 #include "core/study.hpp"
 
 namespace vppstudy::server {

@@ -9,7 +9,6 @@
 
 #include "chips/module_db.hpp"
 #include "core/export.hpp"
-#include "core/parallel_study.hpp"
 #include "softmc/fault_injector.hpp"
 #include "softmc/trace_dump.hpp"
 #include "softmc/trace_replayer.hpp"
@@ -231,27 +230,62 @@ common::Result<std::shared_ptr<CampaignCoordinator>> Service::find_campaign(
   return campaigns_.begin()->second;
 }
 
-common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
-                                                const CancelToken& cancel) {
-  const auto profile = chips::profile_by_name(request.module);
+common::Result<SweepPlan> plan_from_sweep_request(const SweepRequest& request) {
+  SweepPlan out;
+  if (!core::campaign_phase_from_name(request.test, out.phase) ||
+      out.phase == core::JobPhase::kWcdp) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "unknown sweep test '" + request.test + "'"};
+  }
+  auto profile = chips::profile_by_name(request.module);
   if (!profile) {
     return Error{ErrorCode::kInvalidArgument,
                  "unknown module '" + request.module + "'"};
   }
-  const core::SweepConfig cfg = sweep_config_from_request(request);
-  const std::uint64_t digest = ResultCache::config_digest(cfg, request.seed);
-  const core::JobPhase phase = request.test == "trcd"
-                                   ? core::JobPhase::kTrcd
-                                   : request.test == "retention"
-                                         ? core::JobPhase::kRetention
-                                         : core::JobPhase::kRowHammer;
+  out.plan.sweep = sweep_config_from_request(request);
+  out.plan.axes.temperatures_c = request.temps;
+  out.plan.axes.patterns = request.patterns;
+  out.plan.modules.push_back(std::move(*profile));
+  out.plan.seed = request.seed;
+  return out;
+}
 
+common::Result<core::CampaignResult> run_inject_request(
+    const InjectRequest& request) {
+  auto faults = softmc::FaultPlan::parse(request.faults);
+  if (!faults) return std::move(faults).error();
   core::CampaignPlan plan;
-  plan.sweep = cfg;
-  plan.axes.temperatures_c = request.temps;
-  plan.axes.patterns = request.patterns;
-  plan.modules.push_back(*profile);
+  plan.sweep = core::SweepConfig::quick();
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = std::max(1u, request.rows / 2);
   plan.seed = request.seed;
+  for (const std::string& name : request.modules) {
+    auto profile = chips::profile_by_name(name);
+    if (!profile) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "unknown module '" + name + "'"};
+    }
+    // Small banks keep the campaign fast; physics keys off the profile seed.
+    profile->rows_per_bank = 4096;
+    plan.modules.push_back(std::move(*profile));
+  }
+  harness::RetryPolicy retry;
+  retry.max_attempts = request.retries;
+  // The trace ring is the quarantine dump: the default request capacity is
+  // generous so dumps usually cover the whole failing session (untruncated
+  // dumps replay exactly).
+  return core::CampaignEngine(std::move(plan))
+      .run_resilient(*faults, retry,
+                     static_cast<std::size_t>(request.trace_cap));
+}
+
+common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
+                                                const CancelToken& cancel) {
+  VPP_ASSIGN_OR_RETURN(SweepPlan planned, plan_from_sweep_request(request));
+  core::CampaignPlan& plan = planned.plan;
+  const core::JobPhase phase = planned.phase;
+  const std::uint64_t digest =
+      ResultCache::config_digest(plan.sweep, request.seed);
   plan.rows_per_shard = config_.rows_per_shard;
   plan.cancel = cancel;
   if (!config_.manifest_dir.empty()) {
@@ -259,12 +293,12 @@ common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
         manifest_path_for(config_.manifest_dir, phase, plan.digest(phase));
   }
   // The request's presence of an axis selects the result kind: a bare sweep
-  // answers with the legacy per-test document (byte-identical to the
-  // pre-engine daemon), an axis sweep answers with the "*_grid" kind.
+  // answers with the per-test document (byte-identical to vppctl sweep's
+  // series), an axis sweep answers with the "*_grid" kind.
   const bool multi_axis = !plan.axes.vpp_only();
 
   Outcome out;
-  CacheStore store(cache_, digest, retention_windows(cfg), out.stats);
+  CacheStore store(cache_, digest, retention_windows(plan.sweep), out.stats);
   core::CampaignEngine engine(std::move(plan), &store,
                               {.arenas = &arenas_, .pool = &pool_});
 
@@ -301,30 +335,8 @@ common::Result<Service::Outcome> Service::inject(const InjectRequest& request,
   if (cancel.cancelled()) {
     return Error{ErrorCode::kCancelled, "inject cancelled before start"};
   }
-  auto plan = softmc::FaultPlan::parse(request.faults);
-  if (!plan) return std::move(plan).error();
-
-  // Mirrors vppctl inject's config construction field for field, so a
-  // remote campaign is the same campaign the CLI would run locally.
-  core::ResilientConfig config;
-  config.faults = std::move(*plan);
-  config.seed = request.seed;
-  config.retry.max_attempts = request.retries;
-  config.trace_capacity = static_cast<std::size_t>(request.trace_cap);
-  config.sweep = core::SweepConfig::quick();
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = std::max(1u, request.rows / 2);
-  for (const std::string& name : request.modules) {
-    auto profile = chips::profile_by_name(name);
-    if (!profile) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "unknown module '" + name + "'"};
-    }
-    profile->rows_per_bank = 4096;
-    config.modules.push_back(std::move(*profile));
-  }
-
-  const core::CampaignResult campaign = core::run_resilient_rowhammer(config);
+  VPP_ASSIGN_OR_RETURN(const core::CampaignResult campaign,
+                       run_inject_request(request));
   Outcome out;
   out.result_json = campaign_result_to_json(campaign);
   return out;

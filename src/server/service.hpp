@@ -46,6 +46,30 @@
 
 namespace vppstudy::server {
 
+/// A SweepRequest expanded into an engine plan, plus the phase it runs.
+struct SweepPlan {
+  core::CampaignPlan plan;
+  core::JobPhase phase = core::JobPhase::kRowHammer;
+};
+
+/// The one SweepRequest -> CampaignPlan expansion: the request's module,
+/// sweep config (sweep_config_from_request), seed, and optional temperature
+/// and pattern axes. Service::sweep and vppctl sweep's in-process path both
+/// run what this returns, so a remote sweep is the same campaign as a local
+/// one. Execution knobs (jobs, rows_per_shard, cancel, manifest) are left at
+/// their defaults for the caller. Fails with kInvalidArgument on an unknown
+/// module or test.
+[[nodiscard]] common::Result<SweepPlan> plan_from_sweep_request(
+    const SweepRequest& request);
+
+/// The one InjectRequest -> resilient campaign path (Service::inject and
+/// vppctl inject's in-process path): the quick sweep over `rows` sampled
+/// rows of 4096-row banks, `retries` attempts per module, and the parsed
+/// fault plan. Fails with a typed error on a bad fault spec or an unknown
+/// module; per-module failures are quarantines inside the result.
+[[nodiscard]] common::Result<core::CampaignResult> run_inject_request(
+    const InjectRequest& request);
+
 class Service {
  public:
   struct Config {
@@ -53,7 +77,7 @@ class Service {
     /// use all hardware threads. The pool is long-lived: arenas keep one
     /// rig Session per (worker, module) warm across requests.
     int jobs = 0;
-    /// Sampled rows per shard job (StudyConfig::rows_per_shard); a pure
+    /// Sampled rows per shard job (CampaignPlan::rows_per_shard); a pure
     /// performance knob by the determinism contract.
     std::uint32_t rows_per_shard = 4;
     /// Directory for campaign manifests (vppd --manifest-dir); empty

@@ -3,7 +3,7 @@
 // violations, device errors, and simulated nanoseconds. The counts are plain
 // integer sums, so per-job counters aggregate deterministically into
 // per-sweep instrumentation summaries regardless of scheduling
-// (core::parallel_study attaches them to sweep results).
+// (core::CampaignEngine attaches them to sweep results).
 #pragma once
 
 #include <cstdint>

@@ -134,7 +134,7 @@ class Session {
   /// trace and fault injector detached, command clock at zero, auto-refresh
   /// off, and the device power-cycled (dram::Module::reset_device_state --
   /// which retains the per-row physics caches, the whole point of reuse).
-  /// A reused session is bit-identical to a fresh one; core/parallel_study
+  /// A reused session is bit-identical to a fresh one; core::CampaignEngine
   /// keeps one Session per (worker, module) arena slot across shard jobs on
   /// the strength of this, and the tier-1 suite asserts the equivalence.
   void reset_for_job();

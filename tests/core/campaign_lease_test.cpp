@@ -24,19 +24,19 @@ namespace {
 using common::ErrorCode;
 
 CampaignPlan small_plan(std::uint64_t seed = 7) {
-  StudyConfig config;
-  config.sweep.vpp_levels = {2.5, 2.1, 1.7};
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = 2;
-  config.sweep.hammer.num_iterations = 1;
-  config.sweep.trcd.num_iterations = 1;
-  config.sweep.retention.num_iterations = 1;
-  config.modules = {chips::profile_by_name("B3").value(),
-                    chips::profile_by_name("A0").value()};
-  config.seed = seed;
-  config.jobs = 2;
-  config.rows_per_shard = 2;
-  return CampaignPlan::from_study(std::move(config));
+  CampaignPlan plan;
+  plan.sweep.vpp_levels = {2.5, 2.1, 1.7};
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 2;
+  plan.sweep.hammer.num_iterations = 1;
+  plan.sweep.trcd.num_iterations = 1;
+  plan.sweep.retention.num_iterations = 1;
+  plan.modules = {chips::profile_by_name("B3").value(),
+                  chips::profile_by_name("A0").value()};
+  plan.seed = seed;
+  plan.jobs = 2;
+  plan.rows_per_shard = 2;
+  return plan;
 }
 
 /// A fresh spec-only manifest for `plan`, the way a coordinator starts one.

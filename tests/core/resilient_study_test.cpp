@@ -1,18 +1,19 @@
-// Tests for the fault-tolerant campaign runner: retry accounting in the
-// sweep instrumentation, deterministic quarantine decisions under a seeded
-// fault plan, exclusion of quarantined modules from cross-module statistics,
-// replayability of the quarantine evidence, and the partial-result CSV/JSON
-// markers downstream consumers rely on.
+// Tests for the fault-tolerant campaign (CampaignEngine::run_resilient):
+// retry accounting in the sweep instrumentation, deterministic quarantine
+// decisions under a seeded fault plan, exclusion of quarantined modules from
+// cross-module statistics, replayability of the quarantine evidence, and the
+// partial-result CSV/JSON markers downstream consumers rely on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chips/module_db.hpp"
 #include "common/error.hpp"
 #include "core/export.hpp"
-#include "core/resilient_study.hpp"
+#include "core/campaign.hpp"
 #include "softmc/trace_replayer.hpp"
 #include "stats/descriptive.hpp"
 
@@ -25,24 +26,27 @@ dram::ModuleProfile small_profile(const char* name = "B3") {
   return p;
 }
 
-ResilientConfig tiny_config(const std::string& fault_spec = "") {
-  ResilientConfig cfg;
-  cfg.sweep = SweepConfig::quick();
-  cfg.sweep.vpp_levels = {2.5, 1.9};
-  cfg.sweep.sampling.chunks = 2;
-  cfg.sweep.sampling.rows_per_chunk = 1;
-  cfg.modules = {small_profile()};
-  cfg.seed = 1;
-  cfg.retry.max_attempts = 2;
-  cfg.trace_capacity = 512;
+/// A one-module, two-level campaign under `fault_spec` (empty runs clean)
+/// with a two-attempt budget and 512-entry trace rings.
+CampaignResult run_tiny(const std::string& fault_spec = "") {
+  CampaignPlan plan;
+  plan.sweep = SweepConfig::quick();
+  plan.sweep.vpp_levels = {2.5, 1.9};
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 1;
+  plan.modules = {small_profile()};
+  plan.seed = 1;
+  softmc::FaultPlan faults;
   if (!fault_spec.empty()) {
-    cfg.faults = softmc::FaultPlan::parse(fault_spec).value();
+    faults = softmc::FaultPlan::parse(fault_spec).value();
   }
-  return cfg;
+  harness::RetryPolicy retry;
+  retry.max_attempts = 2;
+  return CampaignEngine(std::move(plan)).run_resilient(faults, retry, 512);
 }
 
 TEST(ResilientStudy, CleanCampaignCompletesWithoutRetries) {
-  const CampaignResult campaign = run_resilient_rowhammer(tiny_config());
+  const CampaignResult campaign = run_tiny();
   ASSERT_EQ(campaign.modules.size(), 1u);
   const ModuleCampaignResult& m = campaign.modules[0];
   EXPECT_TRUE(m.completed);
@@ -65,8 +69,8 @@ TEST(ResilientStudy, CleanCampaignCompletesWithoutRetries) {
 TEST(ResilientStudy, PersistentFaultQuarantinesWithoutRetry) {
   // kInvalidArgument is classified persistent: retrying cannot help, so the
   // module is quarantined after a single attempt.
-  const CampaignResult campaign = run_resilient_rowhammer(
-      tiny_config("seed=2;spurious@10,code=kInvalidArgument"));
+  const CampaignResult campaign =
+      run_tiny("seed=2;spurious@10,code=kInvalidArgument");
   ASSERT_EQ(campaign.modules.size(), 1u);
   const ModuleCampaignResult& m = campaign.modules[0];
   EXPECT_FALSE(m.completed);
@@ -84,8 +88,7 @@ TEST(ResilientStudy, TransientFaultBurnsRetryBudgetAndKeepsEvidence) {
   // A scheduled drop_act fires at the same command index on every attempt,
   // so both attempts die with kDeviceProtocol (transient) and the module
   // quarantines with the full budget spent and one retry on the books.
-  const CampaignResult campaign =
-      run_resilient_rowhammer(tiny_config("seed=3;drop_act@0"));
+  const CampaignResult campaign = run_tiny("seed=3;drop_act@0");
   ASSERT_EQ(campaign.modules.size(), 1u);
   const ModuleCampaignResult& m = campaign.modules[0];
   EXPECT_FALSE(m.completed);
@@ -117,9 +120,9 @@ TEST(ResilientStudy, SeededCampaignIsBitReproducible) {
   // Probability-based faults draw from (seed, attempt, kind, index) only, so
   // two identical invocations produce byte-identical exports -- the same
   // guarantee the replay-fuzz CI job asserts on vppctl inject.
-  const auto cfg = tiny_config("seed=9;drop_read=0.0001;flip_read=0.0001");
-  const CampaignResult a = run_resilient_rowhammer(cfg);
-  const CampaignResult b = run_resilient_rowhammer(cfg);
+  const std::string spec = "seed=9;drop_read=0.0001;flip_read=0.0001";
+  const CampaignResult a = run_tiny(spec);
+  const CampaignResult b = run_tiny(spec);
   EXPECT_EQ(a.modules.size(), b.modules.size());
   EXPECT_EQ(a.completed_count(), b.completed_count());
   EXPECT_EQ(a.quarantines.size(), b.quarantines.size());

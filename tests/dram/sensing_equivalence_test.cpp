@@ -8,12 +8,16 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "chips/module_db.hpp"
+#include "common/thread_pool.hpp"
+#include "core/campaign.hpp"
 #include "core/export.hpp"
-#include "core/study.hpp"
 #include "dram/module.hpp"
+#include "softmc/session.hpp"
 
 namespace vppstudy::dram {
 namespace {
@@ -135,19 +139,37 @@ TEST(SensingEquivalence, FlipsAccumulateIdenticallyAcrossRepeatedHammer) {
 
 TEST(SensingEquivalence, StudySweepCsvAndInstrumentationIdentical) {
   // End-to-end: the exported CSV series and the per-sweep instrumentation
-  // sidecar of a RowHammer sweep must not depend on the sensing path.
+  // sidecar of an engine RowHammer sweep must not depend on the sensing
+  // path. The engine runs every unit on its arena's session, so the arena
+  // is lent in pre-seeded with a session on the path under test (an inline
+  // pool has the one slot 0).
   const auto run = [](bool reference) {
-    core::Study study(small_profile());
-    study.session().module().set_reference_sensing(reference);
-    core::SweepConfig cfg = core::SweepConfig::quick();
-    cfg.vpp_levels = {2.5, 1.8, 1.5};
-    auto sweep = study.rowhammer_sweep(cfg);
-    EXPECT_TRUE(sweep.has_value());
-    return *sweep;
+    common::WorkerLocal<core::SessionArena> arenas(0);
+    common::ThreadPool pool(0);
+    const ModuleProfile profile = small_profile();
+    auto& session = arenas.slot(0).sessions[profile.name];
+    session = std::make_unique<softmc::Session>(profile);
+    session->module().set_reference_sensing(reference);
+    const softmc::Session* seeded = session.get();
+
+    core::CampaignPlan plan;
+    plan.sweep = core::SweepConfig::quick();
+    plan.sweep.vpp_levels = {2.5, 1.8, 1.5};
+    plan.modules = {profile};
+    auto grids = core::CampaignEngine(std::move(plan), nullptr,
+                                      {.arenas = &arenas, .pool = &pool})
+                     .run_hammer();
+    EXPECT_TRUE(grids.has_value());
+    // The sweep ran on the seeded session, which kept its sensing path.
+    EXPECT_EQ(arenas.slot(0).sessions.size(), 1u);
+    EXPECT_EQ(session.get(), seeded);
+    EXPECT_EQ(session->module().reference_sensing(), reference);
+    return grids ? grids->front().to_sweep() : core::ModuleSweepResult{};
   };
   const core::ModuleSweepResult fast = run(false);
   const core::ModuleSweepResult reference = run(true);
 
+  ASSERT_FALSE(fast.rows.empty());
   EXPECT_EQ(core::to_csv(fast).str(), core::to_csv(reference).str());
   EXPECT_EQ(fast.instrumentation, reference.instrumentation);
   EXPECT_EQ(core::instrumentation_json(fast).str(),

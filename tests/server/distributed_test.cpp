@@ -30,18 +30,18 @@ using common::ErrorCode;
 using core::JobPhase;
 
 core::CampaignPlan small_plan(std::uint64_t seed = 11) {
-  core::StudyConfig config;
-  config.sweep.vpp_levels = {2.5, 2.1, 1.7};
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = 2;
-  config.sweep.hammer.num_iterations = 1;
-  config.sweep.trcd.num_iterations = 1;
-  config.sweep.retention.num_iterations = 1;
-  config.modules = {chips::profile_by_name("B3").value()};
-  config.seed = seed;
-  config.jobs = 1;
-  config.rows_per_shard = 2;
-  return core::CampaignPlan::from_study(std::move(config));
+  core::CampaignPlan plan;
+  plan.sweep.vpp_levels = {2.5, 2.1, 1.7};
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 2;
+  plan.sweep.hammer.num_iterations = 1;
+  plan.sweep.trcd.num_iterations = 1;
+  plan.sweep.retention.num_iterations = 1;
+  plan.modules = {chips::profile_by_name("B3").value()};
+  plan.seed = seed;
+  plan.jobs = 1;
+  plan.rows_per_shard = 2;
+  return plan;
 }
 
 std::string temp_manifest(const char* tag) {

@@ -11,7 +11,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/socket.hpp"
-#include "core/parallel_study.hpp"
+#include "core/shard.hpp"
 #include "core/study.hpp"
 #include "server/protocol.hpp"
 #include "server/result_cache.hpp"

@@ -17,6 +17,8 @@
 //       sends the sweep to a vppd daemon on 127.0.0.1:PORT instead of
 //       running it in-process: same numbers, byte-identical CSV, but no
 //       instrumentation sidecar (a cached response ran no rig sessions).
+//       Both paths run the plan server::plan_from_sweep_request builds;
+//       --seed is sent to the daemon only (in-process sweeps run seed 0).
 //       Exit 0 on success, 3 on a typed error (local or remote).
 //   vppctl profile --module B6 [--vpp 1.7] [--rows 128]
 //       REAPER-style retention profile at a VPP level.
@@ -106,7 +108,6 @@
 #include "core/campaign_lease.hpp"
 #include "core/export.hpp"
 #include "core/fuzz_campaign.hpp"
-#include "core/resilient_study.hpp"
 #include "core/study.hpp"
 #include "harness/rowhammer_test.hpp"
 #include "harness/wcdp.hpp"
@@ -114,8 +115,8 @@
 #include "server/client.hpp"
 #include "server/coordinator.hpp"
 #include "server/server.hpp"
+#include "server/service.hpp"
 #include "server/worker.hpp"
-#include "softmc/fault_injector.hpp"
 #include "softmc/trace_dump.hpp"
 #include "softmc/trace_replayer.hpp"
 
@@ -149,6 +150,17 @@ std::string flag_or(const std::map<std::string, std::string>& flags,
                     const std::string& key, const std::string& fallback) {
   const auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
+}
+
+std::vector<std::string> split_csv_list(const std::string& text) {
+  std::vector<std::string> parts;
+  for (std::size_t pos = 0; pos <= text.size();) {
+    const std::size_t end = std::min(text.find(',', pos), text.size());
+    std::string part = text.substr(pos, end - pos);
+    pos = end + 1;
+    if (!part.empty()) parts.push_back(std::move(part));
+  }
+  return parts;
 }
 
 int cmd_list() {
@@ -237,8 +249,8 @@ server::SweepRequest sweep_request_from_flags(
 // so both produce the same table and byte-identical CSV. `sidecar` is false
 // for remote results: a cached response ran no rig sessions, so there is no
 // meaningful instrumentation to write.
-int render_hammer_sweep(const core::ModuleSweepResult& sweep,
-                        const std::string& csv_path, bool sidecar) {
+int render_sweep(const core::ModuleSweepResult& sweep,
+                 const std::string& csv_path, bool sidecar) {
   common::CsvWriter csv({"vpp_v", "min_hc_first", "max_ber"});
   std::printf("%-8s %12s %12s\n", "VPP[V]", "minHCfirst", "maxBER");
   for (std::size_t l = 0; l < sweep.vpp_levels.size(); ++l) {
@@ -264,8 +276,8 @@ int render_hammer_sweep(const core::ModuleSweepResult& sweep,
   return 0;
 }
 
-int render_trcd_sweep(const core::TrcdSweepResult& sweep,
-                      const std::string& csv_path, bool sidecar) {
+int render_sweep(const core::TrcdSweepResult& sweep,
+                 const std::string& csv_path, bool sidecar) {
   common::CsvWriter csv({"vpp_v", "trcd_min_ns"});
   std::printf("%-8s %12s\n", "VPP[V]", "tRCDmin[ns]");
   for (std::size_t l = 0; l < sweep.vpp_levels.size(); ++l) {
@@ -288,8 +300,8 @@ int render_trcd_sweep(const core::TrcdSweepResult& sweep,
   return 0;
 }
 
-int render_retention_sweep(const core::RetentionSweepResult& sweep,
-                           const std::string& csv_path, bool sidecar) {
+int render_sweep(const core::RetentionSweepResult& sweep,
+                 const std::string& csv_path, bool sidecar) {
   common::CsvWriter csv({"vpp_v", "trefw_ms", "mean_ber"});
   std::printf("%-8s %10s %12s\n", "VPP[V]", "tREFW[ms]", "meanBER");
   for (std::size_t l = 0; l < sweep.vpp_levels.size(); ++l) {
@@ -338,7 +350,7 @@ int cmd_sweep_remote(const server::SweepRequest& request, std::uint16_t port,
       std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
       return 3;
     }
-    return render_hammer_sweep(*sweep, csv_path, /*sidecar=*/false);
+    return render_sweep(*sweep, csv_path, /*sidecar=*/false);
   }
   if (kind == "trcd") {
     auto sweep = server::trcd_sweep_from_json(response->result);
@@ -346,7 +358,7 @@ int cmd_sweep_remote(const server::SweepRequest& request, std::uint16_t port,
       std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
       return 3;
     }
-    return render_trcd_sweep(*sweep, csv_path, /*sidecar=*/false);
+    return render_sweep(*sweep, csv_path, /*sidecar=*/false);
   }
   if (kind == "retention") {
     auto sweep = server::retention_sweep_from_json(response->result);
@@ -354,15 +366,32 @@ int cmd_sweep_remote(const server::SweepRequest& request, std::uint16_t port,
       std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
       return 3;
     }
-    return render_retention_sweep(*sweep, csv_path, /*sidecar=*/false);
+    return render_sweep(*sweep, csv_path, /*sidecar=*/false);
   }
   std::fprintf(stderr, "vppd returned unknown result kind '%s'\n",
                kind.c_str());
   return 3;
 }
 
+// In-process path: the first (only) grid of the plan, folded into the
+// per-level series the remote path renders too.
+template <typename Grid>
+int render_local_sweep(common::Expected<std::vector<Grid>> grids,
+                       bool counters, const std::string& csv_path) {
+  if (!grids) {
+    std::fprintf(stderr, "%s\n", grids.error().to_string().c_str());
+    return 1;
+  }
+  const auto sweep = grids->front().to_sweep();
+  if (counters) {
+    std::printf("instrumentation: %s\n",
+                sweep.instrumentation.summary().c_str());
+  }
+  return render_sweep(sweep, csv_path, /*sidecar=*/true);
+}
+
 int cmd_sweep(const std::map<std::string, std::string>& flags) {
-  const server::SweepRequest request = sweep_request_from_flags(flags);
+  server::SweepRequest request = sweep_request_from_flags(flags);
   const std::string csv_path = flag_or(flags, "csv", "");
   const std::string connect = flag_or(flags, "connect", "");
   if (!connect.empty()) {
@@ -370,55 +399,27 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
         request, static_cast<std::uint16_t>(std::atoi(connect.c_str())),
         csv_path);
   }
-
-  const auto profile = chips::profile_by_name(request.module);
-  if (!profile) {
-    std::fprintf(stderr, "unknown module\n");
+  // The in-process sweep has always run campaign seed 0; --seed reaches
+  // only a daemon.
+  request.seed = 0;
+  // The same request -> plan expansion the daemon runs, so a remote sweep
+  // is the same campaign (VPP levels quantized to the supply's millivolt
+  // grid included).
+  auto planned = server::plan_from_sweep_request(request);
+  if (!planned) {
+    std::fprintf(stderr, "%s\n", planned.error().to_string().c_str());
     return 1;
   }
-  // The same config builder the daemon uses, so a remote sweep is the same
-  // sweep (VPP levels quantized to the supply's millivolt grid included).
-  const core::SweepConfig cfg = server::sweep_config_from_request(request);
-
-  core::Study study(*profile);
-  if (request.test == "rowhammer") {
-    auto sweep = study.rowhammer_sweep(cfg);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
-      return 1;
-    }
-    if (has_flag(flags, "counters")) {
-      std::printf("instrumentation: %s\n",
-                  sweep->instrumentation.summary().c_str());
-    }
-    return render_hammer_sweep(*sweep, csv_path, /*sidecar=*/true);
+  core::CampaignEngine engine(std::move(planned->plan));
+  const bool counters = has_flag(flags, "counters");
+  switch (planned->phase) {
+    case core::JobPhase::kTrcd:
+      return render_local_sweep(engine.run_trcd(), counters, csv_path);
+    case core::JobPhase::kRetention:
+      return render_local_sweep(engine.run_retention(), counters, csv_path);
+    default:
+      return render_local_sweep(engine.run_hammer(), counters, csv_path);
   }
-  if (request.test == "trcd") {
-    auto sweep = study.trcd_sweep(cfg);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
-      return 1;
-    }
-    if (has_flag(flags, "counters")) {
-      std::printf("instrumentation: %s\n",
-                  sweep->instrumentation.summary().c_str());
-    }
-    return render_trcd_sweep(*sweep, csv_path, /*sidecar=*/true);
-  }
-  if (request.test == "retention") {
-    auto sweep = study.retention_sweep(cfg);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
-      return 1;
-    }
-    if (has_flag(flags, "counters")) {
-      std::printf("instrumentation: %s\n",
-                  sweep->instrumentation.summary().c_str());
-    }
-    return render_retention_sweep(*sweep, csv_path, /*sidecar=*/true);
-  }
-  std::fprintf(stderr, "unknown --test '%s'\n", request.test.c_str());
-  return 1;
 }
 
 int cmd_profile(const std::map<std::string, std::string>& flags) {
@@ -458,25 +459,12 @@ int cmd_profile(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_inject_remote(const std::map<std::string, std::string>& flags,
-                      std::uint16_t port) {
-  if (has_flag(flags, "csv") || has_flag(flags, "dump-dir")) {
-    std::fprintf(stderr,
-                 "--csv/--dump-dir are not supported with --connect (the "
-                 "artifacts would land on the daemon's filesystem)\n");
-    return 3;
-  }
+server::InjectRequest inject_request_from_flags(
+    const std::map<std::string, std::string>& flags) {
   server::InjectRequest request;
   request.faults = flag_or(flags, "faults", "seed=1");
-  request.modules.clear();
-  const std::string names =
-      flag_or(flags, "modules", flag_or(flags, "module", "B3"));
-  for (std::size_t pos = 0; pos <= names.size();) {
-    const std::size_t end = std::min(names.find(',', pos), names.size());
-    std::string name = names.substr(pos, end - pos);
-    pos = end + 1;
-    if (!name.empty()) request.modules.push_back(std::move(name));
-  }
+  request.modules =
+      split_csv_list(flag_or(flags, "modules", flag_or(flags, "module", "B3")));
   request.rows = static_cast<std::uint32_t>(
       std::atoi(flag_or(flags, "rows", "8").c_str()));
   request.retries = static_cast<std::uint32_t>(
@@ -485,7 +473,11 @@ int cmd_inject_remote(const std::map<std::string, std::string>& flags,
       std::strtoull(flag_or(flags, "seed", "1").c_str(), nullptr, 10));
   request.trace_cap = static_cast<std::uint64_t>(
       std::atoll(flag_or(flags, "trace-cap", "4096").c_str()));
+  return request;
+}
 
+int cmd_inject_remote(const server::InjectRequest& request,
+                      std::uint16_t port) {
   auto client = server::Client::connect(port);
   if (!client) {
     std::fprintf(stderr, "%s\n", client.error().to_string().c_str());
@@ -522,52 +514,24 @@ int cmd_inject(const std::map<std::string, std::string>& flags) {
   // Typed-error exit code contract (asserted by the replay-fuzz CI job):
   // 0 = campaign ran to completion (quarantined modules included),
   // 3 = typed error (bad spec, unknown module, export I/O failure).
+  const server::InjectRequest request = inject_request_from_flags(flags);
   const std::string connect = flag_or(flags, "connect", "");
   if (!connect.empty()) {
-    return cmd_inject_remote(
-        flags, static_cast<std::uint16_t>(std::atoi(connect.c_str())));
-  }
-  auto plan = softmc::FaultPlan::parse(flag_or(flags, "faults", "seed=1"));
-  if (!plan) {
-    std::fprintf(stderr, "%s\n", plan.error().to_string().c_str());
-    return 3;
-  }
-
-  core::ResilientConfig config;
-  config.faults = std::move(*plan);
-  config.seed = static_cast<std::uint64_t>(
-      std::strtoull(flag_or(flags, "seed", "1").c_str(), nullptr, 10));
-  config.retry.max_attempts = static_cast<std::uint32_t>(
-      std::atoi(flag_or(flags, "retries", "3").c_str()));
-
-  const auto rows =
-      static_cast<std::uint32_t>(std::atoi(flag_or(flags, "rows", "8").c_str()));
-  // Generous default ring so quarantine dumps usually cover the whole
-  // failing session (untruncated dumps replay exactly).
-  config.trace_capacity = static_cast<std::size_t>(
-      std::atoll(flag_or(flags, "trace-cap", "4096").c_str()));
-  config.sweep = core::SweepConfig::quick();
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = std::max(1u, rows / 2);
-
-  std::string names =
-      flag_or(flags, "modules", flag_or(flags, "module", "B3"));
-  for (std::size_t pos = 0; pos <= names.size();) {
-    const std::size_t end = std::min(names.find(',', pos), names.size());
-    const std::string name = names.substr(pos, end - pos);
-    pos = end + 1;
-    if (name.empty()) continue;
-    auto profile = chips::profile_by_name(name);
-    if (!profile) {
-      std::fprintf(stderr, "unknown module '%s'\n", name.c_str());
+    if (has_flag(flags, "csv") || has_flag(flags, "dump-dir")) {
+      std::fprintf(stderr,
+                   "--csv/--dump-dir are not supported with --connect (the "
+                   "artifacts would land on the daemon's filesystem)\n");
       return 3;
     }
-    // Small banks keep the campaign fast; physics keys off the profile seed.
-    profile->rows_per_bank = 4096;
-    config.modules.push_back(std::move(*profile));
+    return cmd_inject_remote(
+        request, static_cast<std::uint16_t>(std::atoi(connect.c_str())));
   }
-
-  const core::CampaignResult campaign = core::run_resilient_rowhammer(config);
+  auto result = server::run_inject_request(request);
+  if (!result) {
+    std::fprintf(stderr, "%s\n", result.error().to_string().c_str());
+    return 3;
+  }
+  const core::CampaignResult& campaign = *result;
 
   for (const auto& m : campaign.modules) {
     std::printf("%-4s %-11s attempts=%u injected=%llu", m.module_name.c_str(),
@@ -706,17 +670,6 @@ int cmd_replay(const std::string& path,
   return 4;
 }
 
-std::vector<std::string> split_csv_list(const std::string& text) {
-  std::vector<std::string> parts;
-  for (std::size_t pos = 0; pos <= text.size();) {
-    const std::size_t end = std::min(text.find(',', pos), text.size());
-    std::string part = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (!part.empty()) parts.push_back(std::move(part));
-  }
-  return parts;
-}
-
 std::vector<double> parse_double_list(const std::string& text) {
   std::vector<double> values;
   for (const std::string& part : split_csv_list(text)) {
@@ -841,12 +794,8 @@ int campaign_plan_from_flags(const std::map<std::string, std::string>& flags,
   // campaign's VPP grid is millivolt-quantized exactly like `vppctl sweep`
   // (and the stream seeds therefore agree across all front ends).
   const server::SweepRequest request = sweep_request_from_flags(flags);
-  phase = request.test == "trcd"
-              ? core::JobPhase::kTrcd
-              : request.test == "retention" ? core::JobPhase::kRetention
-                                            : core::JobPhase::kRowHammer;
-  if (request.test != "rowhammer" && request.test != "trcd" &&
-      request.test != "retention") {
+  if (!core::campaign_phase_from_name(request.test, phase) ||
+      phase == core::JobPhase::kWcdp) {
     std::fprintf(stderr, "unknown --test '%s'\n", request.test.c_str());
     return 2;
   }
