@@ -122,6 +122,26 @@ TEST(CampaignDeterminism, ShardGranularityIsAPurePerformanceKnob) {
   }
 }
 
+TEST(ParallelStudy, MatchesSerialStudyFacade) {
+  // A multi-module parallel campaign must reproduce, module for module, the
+  // serial one-module campaign at the default shard granularity.
+  const CampaignPlan plan = small_plan(4);
+  auto grids = CampaignEngine(plan).run_hammer();
+  ASSERT_TRUE(grids.has_value()) << grids.error().message;
+  ASSERT_EQ(grids->size(), plan.modules.size());
+  for (std::size_t m = 0; m < plan.modules.size(); ++m) {
+    CampaignPlan single;
+    single.sweep = plan.sweep;
+    single.modules = {plan.modules[m]};
+    single.seed = plan.seed;
+    auto serial = CampaignEngine(single).run_hammer();
+    ASSERT_TRUE(serial.has_value()) << serial.error().message;
+    EXPECT_EQ(to_csv(serial->front().to_sweep()).str(),
+              to_csv((*grids)[m].to_sweep()).str())
+        << plan.modules[m].name;
+  }
+}
+
 TEST(CampaignDeterminism, CampaignSeedChangesNoiseNotPhysics) {
   auto plan = small_plan(2);
   plan.sweep.vpp_levels = {2.5};

@@ -81,7 +81,6 @@ TEST(CampaignEngineEquivalence, HammerGridMatchesSerialStudy) {
       EXPECT_EQ(sweep.rows[r].hc_first, reference.rows[r].hc_first);
       EXPECT_EQ(sweep.rows[r].ber, reference.rows[r].ber);  // bitwise
     }
-    EXPECT_EQ(to_csv(sweep).str(), to_csv(reference).str());
   }
 }
 

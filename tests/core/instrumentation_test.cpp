@@ -79,11 +79,19 @@ TEST(SweepInstrumentation, TrcdSweepCountsOneJobPerLevel) {
   const TrcdSweepResult sweep = grids->front().to_sweep();
   ASSERT_EQ(sweep.vpp_levels.size(), 3u);
   EXPECT_EQ(sweep.instrumentation.jobs, 3u);
-  EXPECT_EQ(sweep.instrumentation, grids->front().instrumentation);
-  EXPECT_GT(sweep.instrumentation.counts.total_commands(), 0u);
   // Alg. 2 probes single columns at reduced tRCD: deliberate violations are
   // the methodology, and the counters see them.
   EXPECT_GT(sweep.instrumentation.counts.timing_violations, 0u);
+}
+
+TEST(SweepInstrumentation, StudyFacadeCarriesInstrumentationToo) {
+  // The per-module sweep view (to_sweep) keeps the grid's counters.
+  auto grids = CampaignEngine(small_plan(1)).run_trcd();
+  ASSERT_TRUE(grids.has_value()) << grids.error().to_string();
+  const TrcdSweepResult sweep = grids->front().to_sweep();
+  EXPECT_EQ(sweep.instrumentation, grids->front().instrumentation);
+  EXPECT_EQ(sweep.instrumentation.jobs, 3u);
+  EXPECT_GT(sweep.instrumentation.counts.total_commands(), 0u);
 }
 
 TEST(SweepInstrumentation, IsIdenticalAcrossJobCounts) {
