@@ -1,8 +1,9 @@
 // Performance microbenchmarks (google-benchmark) for the hot paths of the
 // simulation stack: counter-RNG synthesis, whole-row flip evaluation,
-// Alg. 1's measure_BER, the circuit solver, and dense LU -- plus an
-// end-to-end study sweep parameterized by --jobs, so serial-vs-parallel
-// speedup is one `--benchmark_filter=BM_StudySweep` run away.
+// row read/write dispatch, Alg. 1's measure_BER, the circuit solver, and
+// dense LU -- plus an end-to-end study sweep parameterized by --jobs, so
+// serial-vs-parallel speedup is one `--benchmark_filter=BM_StudySweep` run
+// away.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -13,10 +14,12 @@
 #include "circuit/dram_cell.hpp"
 #include "circuit/matrix.hpp"
 #include "common/rng.hpp"
+#include "dram/data_pattern.hpp"
 #include "dram/module.hpp"
 #include "harness/pattern_fuzzer.hpp"
 #include "harness/pattern_spec.hpp"
 #include "harness/rowhammer_test.hpp"
+#include "softmc/row_ops.hpp"
 #include "softmc/session.hpp"
 
 namespace {
@@ -142,8 +145,8 @@ void BM_ApplyFlips(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyFlips)->Arg(0)->Arg(1);
 
-// Full-row readout (ACT + 1024 RD + PRE): the read-burst buffer is pre-sized
-// from Program::read_count(), so the executor does no vector reallocation.
+// Full-row readout (ACT + one 1024-column RD burst + PRE) through
+// Session::read_row.
 void BM_ReadRow(benchmark::State& state) {
   auto profile = chips::profile_by_name("B3").value();
   profile.rows_per_bank = 4096;
@@ -155,6 +158,31 @@ void BM_ReadRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReadRow);
+
+// Full-row write (ACT + one 1024-column WR burst + PRE): a prebuilt
+// RowOps::init_row program through Session::execute -- the same operation
+// as e2ebench's l2.write_row_us.
+void BM_WriteRow(benchmark::State& state) {
+  auto profile = chips::profile_by_name("B3").value();
+  profile.rows_per_bank = 4096;
+  softmc::Session session(profile);
+  const auto image =
+      dram::pattern_row(dram::DataPattern::kCheckerAA, dram::kBytesPerRow);
+  const auto program = softmc::RowOps(session.timing()).init_row(0, 500, image);
+  if (!program) {
+    state.SkipWithError(program.error().message.c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto result = session.execute(*program);
+    if (!result.status.ok()) {
+      state.SkipWithError(result.status.error().message.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_WriteRow);
 
 void BM_CircuitActivation(benchmark::State& state) {
   circuit::DramCellSimParams p;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -480,53 +481,48 @@ Status Module::precharge_all(double now_ns) {
   return Status::ok_status();
 }
 
-common::Expected<std::array<std::uint8_t, kBytesPerColumn>> Module::read(
-    std::uint32_t bank, std::uint32_t column, double now_ns) {
+common::Expected<Module::RowState*> Module::open_row_for(
+    std::uint32_t bank, std::uint32_t first_column, std::uint32_t n,
+    CommandKind kind) {
   if (auto st = check_responsive(); !st.ok()) return std::move(st).error();
   if (bank >= banks_.size()) {
     return range_error("bank", bank,
                        static_cast<std::uint32_t>(banks_.size()));
   }
-  if (column >= kColumnsPerRow) {
-    return range_error("column", column, kColumnsPerRow)
+  if (static_cast<std::uint64_t>(first_column) + n > kColumnsPerRow) {
+    // The first column out of range, as a column-by-column issue meets it.
+    return range_error("column", std::max(first_column, kColumnsPerRow),
+                       kColumnsPerRow)
         .with_bank(static_cast<std::int32_t>(bank));
   }
   BankState& bs = banks_[bank];
   if (bs.open_physical_row < 0) {
+    const std::string op(command_name(kind));
     return Error{ErrorCode::kDeviceProtocol,
-                 "RD to bank " + std::to_string(bank) + " with no open row"}
+                 op + " to bank " + std::to_string(bank) + " with no open row"}
         .with_module(profile_.name)
         .with_bank(static_cast<std::int32_t>(bank))
-        .with_op("RD");
+        .with_op(op);
   }
   const auto phys = static_cast<std::uint32_t>(bs.open_physical_row);
   RowState& rs = bs.open_row_state != nullptr ? *bs.open_row_state
                                               : row_state(bs, bank, phys);
   ensure_initialized(bank, phys, rs);
-  ++stats_.reads;
+  return &rs;
+}
 
-  std::array<std::uint8_t, kBytesPerColumn> out{};
-  std::copy_n(rs.data.begin() + column * kBytesPerColumn, kBytesPerColumn,
-              out.begin());
-
-  // Reads issued before the row's slowest cells have sensed return wrong
-  // values for those cells (the data in the array is unaffected -- the row
-  // buffer simply had not settled). A small per-read jitter models the
-  // analog noise of marginal timing.
-  const double trcd_ns = now_ns - bs.activate_time_ns;
-  const CellPhysics::RowParams& rp = cached_row_params(bank, phys, rs);
-  RowPhysicsCache& pc = *rs.physics;
-  if (pc.trcd_mean_vpp != vpp_v_) {
-    pc.trcd_mean_ns = physics_.trcd_row_mean_ns(rp, vpp_v_);
-    pc.trcd_mean_vpp = vpp_v_;
-  }
+void Module::sense_column(std::uint32_t bank, std::uint32_t physical_row,
+                          const CellPhysics::RowParams& rp,
+                          double trcd_mean_ns, std::uint32_t column,
+                          double trcd_ns,
+                          std::array<std::uint8_t, kBytesPerColumn>& out) {
   // The jitter draw position is consumed whether or not the draw's value can
   // matter (keeping the noise-counter sequence identical); the draw and the
   // failure evaluation are skipped when no representable jitter could make
   // the read marginal (see CellPhysics::trcd_certainly_safe).
   ++read_noise_counter_;
   double p_fail = 0.0;
-  if (!physics_.trcd_certainly_safe(pc.trcd_mean_ns, trcd_ns)) {
+  if (!physics_.trcd_certainly_safe(trcd_mean_ns, trcd_ns)) {
     const double jitter =
         0.04 * common::normal_at({profile_.seed ^ noise_stream_,
                                   read_noise_counter_, 0x7eadULL});
@@ -536,44 +532,82 @@ common::Expected<std::array<std::uint8_t, kBytesPerColumn>> Module::read(
     const double threshold = 1.0 - p_fail;
     for (std::uint32_t i = 0; i < kBytesPerColumn * 8; ++i) {
       const std::uint32_t bit = column * kBytesPerColumn * 8 + i;
-      if (physics_.cell_uniform(bank, phys, bit,
+      if (physics_.cell_uniform(bank, physical_row, bit,
                                 CellPhysics::CellDraw::kTrcd) > threshold) {
         out[i / 8] = static_cast<std::uint8_t>(out[i / 8] ^ (1u << (i % 8)));
         ++stats_.trcd_read_errors;
       }
     }
   }
+}
+
+common::Expected<std::array<std::uint8_t, kBytesPerColumn>> Module::read(
+    std::uint32_t bank, std::uint32_t column, double now_ns) {
+  std::array<std::uint8_t, kBytesPerColumn> out{};
+  if (auto st = read_burst(bank, column, now_ns, 0.0, std::span(&out, 1));
+      !st.ok()) {
+    return std::move(st).error();
+  }
   return out;
+}
+
+Status Module::read_burst(
+    std::uint32_t bank, std::uint32_t first_column, double first_ns,
+    double spacing_ns,
+    std::span<std::array<std::uint8_t, kBytesPerColumn>> out) {
+  const auto n = static_cast<std::uint32_t>(out.size());
+  auto row = open_row_for(bank, first_column, n, CommandKind::kRead);
+  if (!row) return std::move(row).error();
+  RowState& rs = **row;
+  stats_.reads += n;
+  std::memcpy(out.data(), rs.data.data() + first_column * kBytesPerColumn,
+              std::size_t{n} * kBytesPerColumn);
+
+  // Reads issued before the row's slowest cells have sensed return wrong
+  // values for those cells (the data in the array is unaffected -- the row
+  // buffer simply had not settled). A small per-read jitter models the
+  // analog noise of marginal timing.
+  const BankState& bs = banks_[bank];
+  const auto phys = static_cast<std::uint32_t>(bs.open_physical_row);
+  const CellPhysics::RowParams& rp = cached_row_params(bank, phys, rs);
+  RowPhysicsCache& pc = *rs.physics;
+  if (pc.trcd_mean_vpp != vpp_v_) {
+    pc.trcd_mean_ns = physics_.trcd_row_mean_ns(rp, vpp_v_);
+    pc.trcd_mean_vpp = vpp_v_;
+  }
+  // trcd_certainly_safe is monotone in tRCD and later columns issue later,
+  // so a safe first column makes the whole burst safe: only the noise
+  // counter positions its columns would consume need advancing.
+  if (physics_.trcd_certainly_safe(pc.trcd_mean_ns,
+                                   first_ns - bs.activate_time_ns)) {
+    read_noise_counter_ += n;
+    return Status::ok_status();
+  }
+  double now = first_ns;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i > 0) now += spacing_ns;
+    sense_column(bank, phys, rp, pc.trcd_mean_ns, first_column + i,
+                 now - bs.activate_time_ns, out[i]);
+  }
+  return Status::ok_status();
 }
 
 Status Module::write(std::uint32_t bank, std::uint32_t column,
                      std::span<const std::uint8_t, kBytesPerColumn> data,
                      double now_ns) {
+  return write_burst(bank, column, data, now_ns);
+}
+
+Status Module::write_burst(std::uint32_t bank, std::uint32_t first_column,
+                           std::span<const std::uint8_t> bytes,
+                           double now_ns) {
   (void)now_ns;
-  if (auto st = check_responsive(); !st.ok()) return st;
-  if (bank >= banks_.size()) {
-    return range_error("bank", bank,
-                       static_cast<std::uint32_t>(banks_.size()));
-  }
-  if (column >= kColumnsPerRow) {
-    return range_error("column", column, kColumnsPerRow)
-        .with_bank(static_cast<std::int32_t>(bank));
-  }
-  BankState& bs = banks_[bank];
-  if (bs.open_physical_row < 0) {
-    return Error{ErrorCode::kDeviceProtocol,
-                 "WR to bank " + std::to_string(bank) + " with no open row"}
-        .with_module(profile_.name)
-        .with_bank(static_cast<std::int32_t>(bank))
-        .with_op("WR");
-  }
-  const auto phys = static_cast<std::uint32_t>(bs.open_physical_row);
-  RowState& rs = bs.open_row_state != nullptr ? *bs.open_row_state
-                                              : row_state(bs, bank, phys);
-  ensure_initialized(bank, phys, rs);
-  std::copy(data.begin(), data.end(),
-            rs.data.begin() + column * kBytesPerColumn);
-  ++stats_.writes;
+  const auto n = static_cast<std::uint32_t>(bytes.size() / kBytesPerColumn);
+  auto row = open_row_for(bank, first_column, n, CommandKind::kWrite);
+  if (!row) return std::move(row).error();
+  std::copy_n(bytes.begin(), std::size_t{n} * kBytesPerColumn,
+              (**row).data.begin() + first_column * kBytesPerColumn);
+  stats_.writes += n;
   return Status::ok_status();
 }
 

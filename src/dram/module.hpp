@@ -141,6 +141,21 @@ class Module {
   [[nodiscard]] common::Status write(
       std::uint32_t bank, std::uint32_t column,
       std::span<const std::uint8_t, kBytesPerColumn> data, double now_ns);
+  /// Row-granularity burst: out.size() consecutive column reads from
+  /// `first_column`, the first issued at `first_ns` and each later one
+  /// `spacing_ns` after the one before. Same result as that many read()
+  /// calls at those times, except that the whole burst is validated before
+  /// any side effect: a rejected burst leaves the device untouched.
+  [[nodiscard]] common::Status read_burst(
+      std::uint32_t bank, std::uint32_t first_column, double first_ns,
+      double spacing_ns,
+      std::span<std::array<std::uint8_t, kBytesPerColumn>> out);
+  /// Burst counterpart of write(): `bytes` holds whole columns, written from
+  /// `first_column` on; validated as a whole before any side effect.
+  [[nodiscard]] common::Status write_burst(std::uint32_t bank,
+                                           std::uint32_t first_column,
+                                           std::span<const std::uint8_t> bytes,
+                                           double now_ns);
   /// One REF command: refreshes the next stripe of rows in every bank and
   /// gives TRR its chance to act.
   [[nodiscard]] common::Status refresh(double now_ns);
@@ -226,7 +241,7 @@ class Module {
     std::unordered_map<std::uint32_t, double> acts;
     std::int64_t open_physical_row = -1;
     /// State of the open row (unordered_map nodes are pointer-stable), so
-    /// the per-column read/write burst skips the hash lookup.
+    /// column reads and writes skip the hash lookup.
     RowState* open_row_state = nullptr;
     double activate_time_ns = 0.0;
   };
@@ -237,6 +252,19 @@ class Module {
                                           std::uint32_t limit) const;
   RowState& row_state(BankState& bank_state, std::uint32_t bank,
                       std::uint32_t physical_row);
+  /// Validate a RD/WR of columns [first_column, first_column + n) on
+  /// `bank` (rail, bank, column range, open row -- in that order, with no
+  /// side effect on failure) and return the open row, initialized.
+  [[nodiscard]] common::Expected<RowState*> open_row_for(
+      std::uint32_t bank, std::uint32_t first_column, std::uint32_t n,
+      CommandKind kind);
+  /// tRCD sensing of one column read issued `trcd_ns` after its row's ACT
+  /// (`trcd_mean_ns`: trcd_row_mean_ns at the current VPP): consumes one
+  /// read-noise position and flips the bits of `out` that had not settled.
+  void sense_column(std::uint32_t bank, std::uint32_t physical_row,
+                    const CellPhysics::RowParams& rp, double trcd_mean_ns,
+                    std::uint32_t column, double trcd_ns,
+                    std::array<std::uint8_t, kBytesPerColumn>& out);
   [[nodiscard]] double acts_of(const BankState& b,
                                std::uint32_t physical_row) const;
   /// Apply pending retention + hammer physics to a row, then mark it

@@ -61,4 +61,23 @@ void SessionCounters::on_command(const Instruction& inst, double now_ns) {
   }
 }
 
+void SessionCounters::on_burst(const Instruction& burst,
+                               std::span<const std::uint8_t> data,
+                               double at_ns, double from_ns) {
+  (void)data;
+  const double spacing_ns = burst.burst_spacing_ns();
+  double now = at_ns;
+  counts_.simulated_ns += now - from_ns;
+  for (std::uint32_t i = 1; i < burst.burst_columns; ++i) {
+    const double prev = now;
+    now += spacing_ns;
+    counts_.simulated_ns += now - prev;
+  }
+  if (burst.kind == dram::CommandKind::kRead) {
+    counts_.reads += burst.burst_columns;
+  } else {
+    counts_.writes += burst.burst_columns;
+  }
+}
+
 }  // namespace vppstudy::softmc

@@ -51,6 +51,11 @@ class SessionCounters final : public SessionObserver {
     counts_.simulated_ns += to_ns - from_ns;
   }
   void on_command(const Instruction& inst, double now_ns) override;
+  /// Counts the burst's columns and adds its clock advances column by
+  /// column, in order, so simulated_ns is bit-identical to the per-column
+  /// stream.
+  void on_burst(const Instruction& burst, std::span<const std::uint8_t> data,
+                double at_ns, double from_ns) override;
   void on_hammer(std::uint32_t bank, std::uint64_t count, double act_to_act_ns,
                  double start_ns, double end_ns) override {
     (void)bank;

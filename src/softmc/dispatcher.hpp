@@ -5,11 +5,16 @@
 // timing checker is the first observer, so every command is timing-checked
 // before the device acts on it, exactly as in the pre-refactor monolith; the
 // dispatcher must not change command ordering or clock arithmetic (sweep
-// output is bit-identical by construction).
+// output is bit-identical by construction). A row burst (Program::rd_burst /
+// wr_burst) is the one exception to check-then-act: it is one device call,
+// then one on_burst per observer. It runs column by column instead -- the
+// stream an rd()/wr() loop would issue -- when an interceptor is installed
+// or the device rejects it.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -64,6 +69,20 @@ class CommandDispatcher {
   /// false to abort the program.
   bool issue_one(const Instruction& inst, ExecutionResult& result,
                  double& clock_ns);
+  /// One single-column (or loop) instruction: consult the interceptor,
+  /// advance the clock to its issue time, issue it. Returns false to abort.
+  bool step(const Instruction& original, ExecutionResult& result,
+            double& clock_ns);
+  /// A burst as one device call and one on_burst per observer; falls back
+  /// to replay_burst when the device rejects it.
+  bool issue_burst(const Instruction& burst,
+                   std::span<const std::uint8_t> data,
+                   ExecutionResult& result, double& clock_ns);
+  /// A burst column by column through step(), exactly as the equivalent
+  /// single-column program would run.
+  bool replay_burst(const Instruction& burst,
+                    std::span<const std::uint8_t> data,
+                    ExecutionResult& result, double& clock_ns);
 
   dram::Module& module_;
   const std::vector<TimingViolation>& violation_log_;

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -35,6 +36,9 @@ struct TimingViolation {
 /// time), on_command (at issue, before the device acts), then -- after the
 /// device acts -- on_hammer for loop instructions, on_violation for each
 /// new timing violation, and on_error if the device rejected the command.
+/// A row burst the device accepted arrives as one on_burst call per
+/// observer, after the device acted, followed by on_violation for the
+/// violations its columns raised.
 class SessionObserver {
  public:
   virtual ~SessionObserver() = default;
@@ -50,6 +54,26 @@ class SessionObserver {
   virtual void on_command(const Instruction& inst, double now_ns) {
     (void)inst;
     (void)now_ns;
+  }
+  /// A RD/WR burst (Instruction::burst_columns > 0) issued its columns:
+  /// column 0 at `at_ns`, after the clock left `from_ns`, each later column
+  /// burst_spacing_slots command slots after the one before. `data` is the
+  /// program's burst_data() (WR payloads). The default replays exactly the
+  /// per-column sequence -- on_clock_advance then on_command for each
+  /// column, as burst_column() expands it -- so an observer that does not
+  /// override this sees the stream of single-column commands.
+  virtual void on_burst(const Instruction& burst,
+                        std::span<const std::uint8_t> data, double at_ns,
+                        double from_ns) {
+    const double spacing_ns = burst.burst_spacing_ns();
+    double now = at_ns;
+    double prev = from_ns;
+    for (std::uint32_t i = 0; i < burst.burst_columns; ++i) {
+      if (i > 0) now += spacing_ns;
+      on_clock_advance(prev, now);
+      on_command(burst_column(burst, data, i), now);
+      prev = now;
+    }
   }
   /// A hammer loop retired: `count` activations of each aggressor at
   /// `act_to_act_ns` spacing between start_ns and end_ns.

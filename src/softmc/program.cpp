@@ -1,5 +1,6 @@
 #include "softmc/program.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/units.hpp"
@@ -40,8 +41,6 @@ Program& Program::pre(std::uint32_t bank, double delay_ns) {
 
 Program& Program::rd(std::uint32_t bank, std::uint32_t column,
                      double delay_ns) {
-  // Built in place: RD/WR are the per-column hot path of row-granularity
-  // programs (1024 of them per row), so skip push()'s extra 72-byte copy.
   Instruction& i = instructions_.emplace_back();
   i.kind = dram::CommandKind::kRead;
   i.bank = bank;
@@ -63,6 +62,59 @@ Program& Program::wr(std::uint32_t bank, std::uint32_t column,
   i.slots_after_previous =
       slots_for(delay_ns < 0.0 ? timing_.t_rcd_ns : delay_ns);
   return *this;
+}
+
+Instruction& Program::push_burst(dram::CommandKind kind, std::uint32_t bank,
+                                 std::uint32_t first_column, std::uint32_t n,
+                                 double first_delay_ns, double spacing_ns) {
+  Instruction& i = instructions_.emplace_back();
+  i.kind = kind;
+  i.bank = bank;
+  i.column = first_column;
+  i.slots_after_previous =
+      slots_for(first_delay_ns < 0.0 ? timing_.t_rcd_ns : first_delay_ns);
+  i.burst_columns = n;
+  i.burst_spacing_slots = slots_for(spacing_ns);
+  return i;
+}
+
+Program& Program::rd_burst(std::uint32_t bank, std::uint32_t first_column,
+                           std::uint32_t n, double first_delay_ns,
+                           double spacing_ns) {
+  if (n == 0) return *this;
+  push_burst(dram::CommandKind::kRead, bank, first_column, n, first_delay_ns,
+             spacing_ns);
+  read_count_ += n;
+  return *this;
+}
+
+Program& Program::wr_burst(std::uint32_t bank, std::uint32_t first_column,
+                           std::span<const std::uint8_t> bytes,
+                           double first_delay_ns, double spacing_ns) {
+  const auto n =
+      static_cast<std::uint32_t>(bytes.size() / dram::kBytesPerColumn);
+  if (n == 0) return *this;
+  push_burst(dram::CommandKind::kWrite, bank, first_column, n, first_delay_ns,
+             spacing_ns)
+      .burst_offset = burst_data_.size();
+  burst_data_.insert(burst_data_.end(), bytes.begin(),
+                     bytes.begin() + n * dram::kBytesPerColumn);
+  return *this;
+}
+
+Instruction burst_column(const Instruction& burst,
+                         std::span<const std::uint8_t> data, std::uint32_t i) {
+  Instruction c;
+  c.kind = burst.kind;
+  c.bank = burst.bank;
+  c.column = burst.column + i;
+  c.slots_after_previous =
+      i == 0 ? burst.slots_after_previous : burst.burst_spacing_slots;
+  if (burst.kind == dram::CommandKind::kWrite) {
+    std::copy_n(data.begin() + burst.burst_offset + i * dram::kBytesPerColumn,
+                dram::kBytesPerColumn, c.write_data.begin());
+  }
+  return c;
 }
 
 Program& Program::ref(double delay_ns) {

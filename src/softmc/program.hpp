@@ -9,8 +9,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/units.hpp"
 #include "dram/timing.hpp"
 #include "dram/types.hpp"
 
@@ -33,7 +35,32 @@ struct Instruction {
   std::uint64_t loop_count = 0;
   std::uint32_t loop_row_b = 0;
   double loop_act_to_act_ns = 0.0;
+  /// Row-granularity RD/WR burst (Program::rd_burst / wr_burst): when
+  /// burst_columns > 0 this instruction stands for burst_columns single-
+  /// column commands at columns column, column + 1, ...; the first issues
+  /// slots_after_previous slots after its predecessor, each later one
+  /// burst_spacing_slots after the column before it. WR payloads live in
+  /// Program::burst_data() from byte burst_offset on. burst_column()
+  /// expands one column back into the plain instruction it stands for.
+  /// Bursts carry no extra_wait_ns.
+  std::uint32_t burst_columns = 0;
+  std::uint32_t burst_spacing_slots = 0;
+  std::size_t burst_offset = 0;
+
+  /// Gap between consecutive burst columns, computed exactly as the
+  /// dispatcher advances its clock for one column instruction.
+  [[nodiscard]] double burst_spacing_ns() const noexcept {
+    return burst_spacing_slots * common::kCommandSlotNs;
+  }
+
+  friend bool operator==(const Instruction&, const Instruction&) = default;
 };
+
+/// Column `i` of a burst instruction as the single-column RD/WR it stands
+/// for (write payload taken from `data`, the program's burst_data()).
+[[nodiscard]] Instruction burst_column(const Instruction& burst,
+                                       std::span<const std::uint8_t> data,
+                                       std::uint32_t i);
 
 /// Fluent builder for instruction sequences.
 class Program {
@@ -46,16 +73,20 @@ class Program {
   [[nodiscard]] const std::vector<Instruction>& instructions() const noexcept {
     return instructions_;
   }
-  /// Number of RD instructions: lets the executor pre-size its read-burst
-  /// buffer (a 1024-column row read would otherwise reallocate ~10 times).
+  /// WR burst payloads, indexed by Instruction::burst_offset.
+  [[nodiscard]] std::span<const std::uint8_t> burst_data() const noexcept {
+    return burst_data_;
+  }
+  /// Number of columns the program reads (a burst counts its columns): lets
+  /// the executor size its read buffer once.
   [[nodiscard]] std::size_t read_count() const noexcept { return read_count_; }
 
   /// Convert a latency in ns to command slots, rounding *up* (the FPGA can
   /// only lengthen timing to the next 1.5ns boundary).
   [[nodiscard]] static std::uint32_t slots_for(double ns) noexcept;
 
-  /// Pre-size the instruction list (row-granularity builders know their
-  /// command count up front; 1024-column bursts would reallocate ~10 times).
+  /// Pre-size the instruction list (builders that know their instruction
+  /// count up front, e.g. compiled attack patterns).
   Program& reserve(std::size_t n) {
     instructions_.reserve(n);
     return *this;
@@ -74,10 +105,24 @@ class Program {
 
   Program& act(std::uint32_t bank, std::uint32_t row, double delay_ns = -1.0);
   Program& pre(std::uint32_t bank, double delay_ns = -1.0);
+  /// Single-column RD/WR (Alg. 2's tRCD probes, memctrl, trace replay).
   Program& rd(std::uint32_t bank, std::uint32_t column, double delay_ns = -1.0);
   Program& wr(std::uint32_t bank, std::uint32_t column,
               std::array<std::uint8_t, dram::kBytesPerColumn> data,
               double delay_ns = -1.0);
+  /// `n` back-to-back RDs from `first_column`: the first `first_delay_ns`
+  /// after its predecessor (negative: the nominal tRCD, as for rd()), the
+  /// rest `spacing_ns` apart. One instruction, issued to the device as one
+  /// burst; equivalent to the loop of rd() calls with the same delays.
+  /// n == 0 appends nothing.
+  Program& rd_burst(std::uint32_t bank, std::uint32_t first_column,
+                    std::uint32_t n, double first_delay_ns, double spacing_ns);
+  /// WR counterpart of rd_burst(): `bytes` holds whole columns
+  /// (kBytesPerColumn each; a trailing partial column is ignored), written
+  /// from `first_column` on.
+  Program& wr_burst(std::uint32_t bank, std::uint32_t first_column,
+                    std::span<const std::uint8_t> bytes, double first_delay_ns,
+                    double spacing_ns);
   Program& ref(double delay_ns = -1.0);
   Program& wait_ns(double ns);
   /// Double-sided hammer loop: ACT/PRE row_a and row_b alternately,
@@ -95,9 +140,13 @@ class Program {
 
  private:
   Program& push(Instruction inst, double default_delay_ns, double delay_ns);
+  Instruction& push_burst(dram::CommandKind kind, std::uint32_t bank,
+                          std::uint32_t first_column, std::uint32_t n,
+                          double first_delay_ns, double spacing_ns);
 
   dram::Ddr4Timing timing_;
   std::vector<Instruction> instructions_;
+  std::vector<std::uint8_t> burst_data_;
   std::size_t read_count_ = 0;
 };
 

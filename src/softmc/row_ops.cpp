@@ -1,7 +1,6 @@
 #include "softmc/row_ops.hpp"
 
 #include <algorithm>
-#include <array>
 
 namespace vppstudy::softmc {
 
@@ -19,16 +18,10 @@ common::Expected<Program> RowOps::init_row(
         .with_bank_row(static_cast<std::int32_t>(bank), row);
   }
   Program p(timing_);
-  p.reserve(dram::kColumnsPerRow + 2);
   p.act(bank, row);
   // Burst writes back-to-back at 4-clock column spacing.
   const double spacing = column_spacing_ns();
-  for (std::uint32_t c = 0; c < dram::kColumnsPerRow; ++c) {
-    std::array<std::uint8_t, dram::kBytesPerColumn> word{};
-    std::copy_n(image.begin() + c * dram::kBytesPerColumn,
-                dram::kBytesPerColumn, word.begin());
-    p.wr(bank, c, word, c == 0 ? timing_.t_rcd_ns : spacing);
-  }
+  p.wr_burst(bank, 0, image, timing_.t_rcd_ns, spacing);
   p.pre(bank, timing_.t_wr_ns + spacing);
   return p;
 }
@@ -36,13 +29,9 @@ common::Expected<Program> RowOps::init_row(
 Program RowOps::read_row(std::uint32_t bank, std::uint32_t row,
                          double trcd_ns) const {
   Program p(timing_);
-  p.reserve(dram::kColumnsPerRow + 2);
   p.act(bank, row);
   const double first_delay = trcd_ns > 0.0 ? trcd_ns : timing_.t_rcd_ns;
-  const double spacing = column_spacing_ns();
-  for (std::uint32_t c = 0; c < dram::kColumnsPerRow; ++c) {
-    p.rd(bank, c, c == 0 ? first_delay : spacing);
-  }
+  p.rd_burst(bank, 0, dram::kColumnsPerRow, first_delay, column_spacing_ns());
   p.pre(bank, timing_.t_rtp_ns);
   return p;
 }

@@ -28,13 +28,14 @@ class RowOps {
     return 4.0 * timing_.t_ck_ns;
   }
 
-  /// ACT + kColumnsPerRow WR + PRE with nominal timing. Fails with
-  /// kBadRowImage when `image` is not exactly one row.
+  /// ACT + one kColumnsPerRow-column WR burst + PRE with nominal timing.
+  /// Fails with kBadRowImage when `image` is not exactly one row.
   [[nodiscard]] common::Expected<Program> init_row(
       std::uint32_t bank, std::uint32_t row,
       const std::vector<std::uint8_t>& image) const;
 
-  /// ACT + kColumnsPerRow RD + PRE. `trcd_ns <= 0` uses the nominal tRCD.
+  /// ACT + one kColumnsPerRow-column RD burst + PRE. `trcd_ns <= 0` uses
+  /// the nominal tRCD.
   [[nodiscard]] Program read_row(std::uint32_t bank, std::uint32_t row,
                                  double trcd_ns = -1.0) const;
 

@@ -104,14 +104,15 @@ class Session {
 
   // --- Convenience operations used by the harness -----------------------------
   // All are thin wrappers over RowOps program builders + execute().
-  /// ACT + 1024 WR + PRE with nominal timing.
+  /// ACT + one 1024-column WR burst + PRE with nominal timing.
   common::Status init_row(std::uint32_t bank, std::uint32_t row,
                           const std::vector<std::uint8_t>& image);
-  /// ACT + 1024 RD + PRE; returns the full 8KB row. `trcd_ns <= 0` uses the
-  /// nominal tRCD. Characterization harnesses pass a generous latency so
-  /// verification reads cannot be corrupted by marginal activation timing
-  /// (isolating the effect under test, section 4.1). Fails with
-  /// kReadUnderrun if the device returned fewer bursts than requested.
+  /// ACT + one 1024-column RD burst + PRE; returns the full 8KB row.
+  /// `trcd_ns <= 0` uses the nominal tRCD. Characterization harnesses pass
+  /// a generous latency so verification reads cannot be corrupted by
+  /// marginal activation timing (isolating the effect under test, section
+  /// 4.1). Fails with kReadUnderrun if the device returned fewer bursts than
+  /// requested.
   common::Expected<std::vector<std::uint8_t>> read_row(std::uint32_t bank,
                                                        std::uint32_t row,
                                                        double trcd_ns = -1.0);

@@ -56,16 +56,34 @@ void TimingChecker::observe(dram::CommandKind kind, std::uint32_t bank,
       break;
     }
     case dram::CommandKind::kRead:
-    case dram::CommandKind::kWrite: {
-      const double since_act = now_ns - bt.last_act;
-      if (bt.open && since_act < timing_.t_rcd_ns - 1e-9) {
-        record("tRCD", bank, timing_.t_rcd_ns, since_act, now_ns);
-      }
+    case dram::CommandKind::kWrite:
+      check_trcd(bank, now_ns);
       break;
-    }
     case dram::CommandKind::kRefresh:
     case dram::CommandKind::kNop:
       break;
+  }
+}
+
+bool TimingChecker::check_trcd(std::uint32_t bank, double now_ns) {
+  const BankTimes& bt = banks_[bank];
+  const double since_act = now_ns - bt.last_act;
+  if (!(bt.open && since_act < timing_.t_rcd_ns - 1e-9)) return false;
+  record("tRCD", bank, timing_.t_rcd_ns, since_act, now_ns);
+  return true;
+}
+
+void TimingChecker::on_burst(const Instruction& burst,
+                             std::span<const std::uint8_t> data, double at_ns,
+                             double from_ns) {
+  (void)data;
+  (void)from_ns;
+  if (burst.bank >= banks_.size()) return;
+  const double spacing_ns = burst.burst_spacing_ns();
+  double now = at_ns;
+  for (std::uint32_t i = 0; i < burst.burst_columns; ++i) {
+    if (i > 0) now += spacing_ns;
+    if (!check_trcd(burst.bank, now)) break;
   }
 }
 

@@ -33,6 +33,11 @@ class TimingChecker : public SessionObserver {
     if (inst.loop_count > 0) return;
     observe(inst.kind, inst.bank, now_ns);
   }
+  /// A burst's columns only test tRCD against the bank's last ACT and change
+  /// no bank state; later columns sit further from the ACT, so only a prefix
+  /// can violate -- checking stops at the first column that does not.
+  void on_burst(const Instruction& burst, std::span<const std::uint8_t> data,
+                double at_ns, double from_ns) override;
   void on_hammer(std::uint32_t bank, std::uint64_t count,
                  double act_to_act_ns, double start_ns,
                  double end_ns) override {
@@ -60,6 +65,9 @@ class TimingChecker : public SessionObserver {
     bool open = false;
   };
 
+  /// RD/WR at `now_ns`: record a tRCD violation if there is one; returns
+  /// whether there was.
+  bool check_trcd(std::uint32_t bank, double now_ns);
   void record(const std::string& rule, std::uint32_t bank, double required,
               double actual, double at);
 

@@ -4,8 +4,10 @@
 // the session surfaces for each rig failure mode.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chips/module_db.hpp"
@@ -13,6 +15,7 @@
 #include "dram/data_pattern.hpp"
 #include "dram/types.hpp"
 #include "softmc/counters.hpp"
+#include "softmc/row_ops.hpp"
 #include "softmc/session.hpp"
 #include "softmc/trace_recorder.hpp"
 
@@ -147,11 +150,67 @@ TEST(Observers, OnErrorDeliversTypedErrorAndAbortsExecution) {
   EXPECT_EQ(s.counters().device_errors, 1u);
 }
 
+TEST(Observers, DefaultOnBurstReplaysTheColumnStream) {
+  // An observer that does not override on_burst sees the row bursts of
+  // init_row / read_row as the exact clock-advance + command stream of the
+  // single-column programs they replaced.
+  class StreamLog final : public SessionObserver {
+   public:
+    void on_clock_advance(double from_ns, double to_ns) override {
+      advances.emplace_back(from_ns, to_ns);
+    }
+    void on_command(const Instruction& inst, double now_ns) override {
+      commands.push_back(inst);
+      at_ns.push_back(now_ns);
+    }
+    std::vector<std::pair<double, double>> advances;
+    std::vector<Instruction> commands;
+    std::vector<double> at_ns;
+  };
+
+  const auto image =
+      dram::pattern_row(dram::DataPattern::kCheckerAA, dram::kBytesPerRow);
+  Session bursts(small_profile());
+  StreamLog burst_log;
+  bursts.add_observer(&burst_log);
+  ASSERT_TRUE(bursts.init_row(0, 9, image).ok());
+  ASSERT_TRUE(bursts.read_row(0, 9, 20.0).has_value());
+
+  Session columns(small_profile());
+  StreamLog column_log;
+  columns.add_observer(&column_log);
+  const dram::Ddr4Timing& t = columns.timing();
+  const double spacing = RowOps(t).column_spacing_ns();
+  Program w(t);
+  w.act(0, 9);
+  for (std::uint32_t c = 0; c < dram::kColumnsPerRow; ++c) {
+    std::array<std::uint8_t, dram::kBytesPerColumn> word{};
+    std::copy_n(image.begin() + c * dram::kBytesPerColumn,
+                dram::kBytesPerColumn, word.begin());
+    w.wr(0, c, word, c == 0 ? t.t_rcd_ns : spacing);
+  }
+  w.pre(0, t.t_wr_ns + spacing);
+  ASSERT_TRUE(columns.execute(w).status.ok());
+  Program r(t);
+  r.act(0, 9);
+  for (std::uint32_t c = 0; c < dram::kColumnsPerRow; ++c) {
+    r.rd(0, c, c == 0 ? 20.0 : spacing);
+  }
+  r.pre(0, t.t_rtp_ns);
+  ASSERT_TRUE(columns.execute(r).status.ok());
+
+  EXPECT_EQ(burst_log.commands.size(), 4u + 2u * dram::kColumnsPerRow);
+  EXPECT_EQ(burst_log.commands, column_log.commands);
+  EXPECT_EQ(burst_log.at_ns, column_log.at_ns);
+  EXPECT_EQ(burst_log.advances, column_log.advances);
+}
+
 TEST(Counters, MatchHandComputedRowPrograms) {
   Session s(small_profile());
   const auto image =
       dram::pattern_row(dram::DataPattern::kChecker55, dram::kBytesPerRow);
-  // init_row is ACT + 1024 WR + PRE; read_row is ACT + 1024 RD + PRE.
+  // init_row is ACT + a 1024-column WR burst + PRE; read_row is ACT + a
+  // 1024-column RD burst + PRE. Counters count the burst's columns.
   ASSERT_TRUE(s.init_row(0, 7, image).ok());
   ASSERT_TRUE(s.read_row(0, 7).has_value());
 
