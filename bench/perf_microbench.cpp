@@ -1,11 +1,15 @@
 // Performance microbenchmarks (google-benchmark) for the hot paths of the
 // simulation stack: counter-RNG synthesis, whole-row flip evaluation,
-// row read/write dispatch, Alg. 1's measure_BER, the circuit solver, and
-// dense LU -- plus an end-to-end study sweep parameterized by --jobs, so
+// row read/write dispatch, Alg. 1's measure_BER, the circuit solver, dense
+// LU, and a checkpoint journal append -- plus an end-to-end study sweep parameterized by --jobs, so
 // serial-vs-parallel speedup is one `--benchmark_filter=BM_StudySweep` run
 // away.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +17,7 @@
 #include "chips/module_db.hpp"
 #include "circuit/dram_cell.hpp"
 #include "circuit/matrix.hpp"
+#include "common/journal.hpp"
 #include "common/rng.hpp"
 #include "dram/data_pattern.hpp"
 #include "dram/module.hpp"
@@ -209,6 +214,49 @@ void BM_LuSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LuSolve)->Arg(9)->Arg(32);
+
+// One L5 checkpoint: encode a campaign_grid-sized shard record (4 rows, the
+// e2ebench grid's rows per shard) and append it to a manifest journal in
+// the temp dir -- one write() plus the fdatasync, the cost the engine pays
+// per completed shard. Journal size does not matter: appends are O(record).
+void BM_CheckpointAppend(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("vpp_bm_checkpoint_" + std::to_string(::getpid()) + ".journal"))
+          .string();
+  core::CampaignManifest spec;
+  spec.modules = {{"B3", 65536}};
+  core::ManifestShard shard;
+  shard.module = "B3";
+  shard.point.vpp_v = 2.1;
+  shard.point.temperature_c = 65.0;
+  shard.row_begin = 4;
+  shard.row_end = 8;
+  shard.counted = true;
+  shard.counts.activates = 12345;
+  shard.counts.hammer_activations = 9876543;
+  shard.counts.simulated_ns = 123456.789;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    shard.hammer.push_back({1000 + 17 * i, dram::DataPattern::kCheckerAA,
+                            40000 + 1000ULL * i, 1.25e-5 * (i + 1)});
+  }
+  auto journal = common::JournalWriter::create(
+      path, core::campaign_journal_header(spec));
+  if (!journal) {
+    state.SkipWithError(journal.error().message.c_str());
+    return;
+  }
+  for (auto _ : state) {
+    const auto st = journal->append(
+        core::campaign_shard_record(shard, core::JobPhase::kRowHammer));
+    if (!st.ok()) {
+      state.SkipWithError(st.error().message.c_str());
+      break;
+    }
+  }
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_CheckpointAppend);
 
 // One fuzzer generation step on the pure-function side: synthetic
 // deterministic scores, evolve_population, then every evolved member

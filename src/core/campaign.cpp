@@ -1,12 +1,12 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <future>
 #include <optional>
 #include <utility>
@@ -123,13 +123,14 @@ void point_json(common::JsonWriter& json, const AxisPoint& p) {
 }  // namespace
 
 void campaign_checkpoint_written() {
-  static const int budget = [] {
-    const char* env = std::getenv("VPP_CAMPAIGN_KILL_AFTER");
-    return env != nullptr ? std::atoi(env) : -1;
-  }();
-  if (budget < 0) return;
-  static int writes = 0;
-  if (++writes >= budget) std::raise(SIGKILL);
+  static std::atomic<int> armed_writes{0};
+  const char* env = std::getenv("VPP_CAMPAIGN_KILL_AFTER");
+  const int budget = env != nullptr ? std::atoi(env) : -1;
+  if (budget < 0) {
+    armed_writes = 0;
+    return;
+  }
+  if (++armed_writes >= budget) std::raise(SIGKILL);
 }
 
 std::string u64_hex(std::uint64_t v) {
@@ -469,7 +470,11 @@ RetentionSweepResult RetentionGrid::to_sweep() const {
 
 // --- Manifest serialization --------------------------------------------------
 
-common::JsonWriter campaign_manifest_json(const CampaignManifest& manifest) {
+namespace {
+
+/// The manifest document; without records it is the journal header.
+common::JsonWriter render_manifest(const CampaignManifest& manifest,
+                                   bool with_records) {
   common::JsonWriter json;
   json.begin_object();
   json.kv("schema", std::string(CampaignManifest::kSchemaPrefix) +
@@ -543,19 +548,27 @@ common::JsonWriter campaign_manifest_json(const CampaignManifest& manifest) {
   json.end_array();
 
   json.key("wcdp").begin_array();
-  for (const ManifestWcdp& w : manifest.wcdp) {
-    manifest_wcdp_json(json, w);
+  if (with_records) {
+    for (const ManifestWcdp& w : manifest.wcdp) manifest_wcdp_json(json, w);
   }
   json.end_array();
 
   json.key("shards").begin_array();
-  for (const ManifestShard& s : manifest.shards) {
-    manifest_shard_json(json, s, manifest.phase);
+  if (with_records) {
+    for (const ManifestShard& s : manifest.shards) {
+      manifest_shard_json(json, s, manifest.phase);
+    }
   }
   json.end_array();
 
   json.end_object();
   return json;
+}
+
+}  // namespace
+
+common::JsonWriter campaign_manifest_json(const CampaignManifest& manifest) {
+  return render_manifest(manifest, /*with_records=*/true);
 }
 
 common::Result<CampaignManifest> parse_campaign_manifest(const JsonValue& doc) {
@@ -572,7 +585,7 @@ common::Result<CampaignManifest> parse_campaign_manifest(const JsonValue& doc) {
   CampaignManifest m;
   m.version = std::atoi(
       schema.substr(CampaignManifest::kSchemaPrefix.size()).c_str());
-  if (m.version < 1 || m.version > CampaignManifest::kVersion) {
+  if (m.version != CampaignManifest::kVersion) {
     return fail("unsupported version " + std::to_string(m.version));
   }
   if (!campaign_phase_from_name(doc.string_or("phase", ""), m.phase)) {
@@ -677,36 +690,117 @@ common::Result<CampaignManifest> parse_campaign_manifest(const JsonValue& doc) {
     m.modules.emplace_back(
         name, static_cast<std::uint32_t>(item.uint_or("rows_per_bank", 0)));
   }
+  return m;  // records live in the journal, after this header
+}
 
-  if (const JsonValue* wcdp = doc.find("wcdp")) {
-    for (const JsonValue& item : wcdp->items()) {
-      VPP_ASSIGN_OR_RETURN(ManifestWcdp record, parse_manifest_wcdp(item));
-      m.wcdp.push_back(std::move(record));
-    }
+// --- Manifest journal --------------------------------------------------------
+
+CampaignManifest manifest_spec(const CampaignPlan& plan, JobPhase phase) {
+  CampaignManifest spec;
+  spec.phase = phase;
+  spec.plan_hash = plan.digest(phase);
+  spec.sweep = plan.sweep;
+  spec.axes = plan.axes;
+  spec.seed = plan.seed;
+  spec.rows_per_shard = plan.rows_per_shard;
+  for (const dram::ModuleProfile& mod : plan.modules) {
+    spec.modules.emplace_back(mod.name, mod.rows_per_bank);
   }
+  return spec;
+}
 
-  if (const JsonValue* shards = doc.find("shards")) {
-    for (const JsonValue& item : shards->items()) {
-      VPP_ASSIGN_OR_RETURN(ManifestShard shard,
-                           parse_manifest_shard(item, m.phase));
-      m.shards.push_back(std::move(shard));
+common::Status check_manifest_binding(const CampaignManifest& manifest,
+                                      JobPhase phase, std::uint64_t plan_hash) {
+  if (manifest.phase != phase) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "campaign manifest phase mismatch: checkpoint is " +
+                     std::string(campaign_phase_name(manifest.phase)) +
+                     ", plan wants " + std::string(campaign_phase_name(phase))};
+  }
+  if (manifest.plan_hash != plan_hash) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "campaign manifest plan hash mismatch (the plan changed "
+                 "since the checkpoint was written)"};
+  }
+  return common::Status::ok_status();
+}
+
+std::string campaign_journal_header(const CampaignManifest& manifest) {
+  return render_manifest(manifest, /*with_records=*/false).str();
+}
+
+std::string campaign_wcdp_record(const ManifestWcdp& record) {
+  common::JsonWriter json;
+  json.begin_object().key("wcdp");
+  manifest_wcdp_json(json, record);
+  json.end_object();
+  return json.str();
+}
+
+std::string campaign_shard_record(const ManifestShard& shard, JobPhase phase) {
+  common::JsonWriter json;
+  json.begin_object().key("shard");
+  manifest_shard_json(json, shard, phase);
+  json.end_object();
+  return json.str();
+}
+
+namespace {
+
+common::Result<CampaignManifest> replay_campaign_manifest(
+    const common::JournalContents& journal) {
+  VPP_ASSIGN_OR_RETURN(JsonValue header, common::parse_json(journal.header));
+  VPP_ASSIGN_OR_RETURN(CampaignManifest m, parse_campaign_manifest(header));
+  for (const std::string& text : journal.records) {
+    VPP_ASSIGN_OR_RETURN(JsonValue record, common::parse_json(text));
+    if (const JsonValue* shard = record.find("shard")) {
+      VPP_ASSIGN_OR_RETURN(ManifestShard s,
+                           parse_manifest_shard(*shard, m.phase));
+      m.shards.push_back(std::move(s));
+    } else if (const JsonValue* wcdp = record.find("wcdp")) {
+      VPP_ASSIGN_OR_RETURN(ManifestWcdp w, parse_manifest_wcdp(*wcdp));
+      m.wcdp.push_back(std::move(w));
+    } else {
+      return Error{ErrorCode::kParseError,
+                   "campaign manifest: record is neither a shard nor a wcdp"};
     }
   }
   return m;
 }
 
+}  // namespace
+
 common::Result<CampaignManifest> load_campaign_manifest(
     const std::string& path) {
-  VPP_ASSIGN_OR_RETURN(JsonValue doc, common::parse_json_file(path));
-  return parse_campaign_manifest(doc);
+  VPP_ASSIGN_OR_RETURN(common::JournalContents journal,
+                       common::read_journal(path));
+  return replay_campaign_manifest(journal);
+}
+
+common::Result<common::JournalWriter> open_campaign_manifest(
+    const std::string& path, CampaignManifest& manifest) {
+  common::JournalContents journal;
+  VPP_ASSIGN_OR_RETURN(common::JournalWriter writer,
+                       common::JournalWriter::open_for_append(path, journal));
+  VPP_ASSIGN_OR_RETURN(manifest, replay_campaign_manifest(journal));
+  return writer;
 }
 
 bool write_campaign_manifest(const std::string& path,
                              const CampaignManifest& manifest) {
-  const std::string tmp = path + ".tmp";
-  if (!campaign_manifest_json(manifest).write_file(tmp)) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) return false;
-  campaign_checkpoint_written();
+  std::vector<std::string> records;
+  records.reserve(manifest.wcdp.size() + manifest.shards.size());
+  for (const ManifestWcdp& w : manifest.wcdp) {
+    records.push_back(campaign_wcdp_record(w));
+  }
+  for (const ManifestShard& s : manifest.shards) {
+    records.push_back(campaign_shard_record(s, manifest.phase));
+  }
+  if (!common::JournalWriter::create(path, campaign_journal_header(manifest),
+                                     records)) {
+    return false;
+  }
+  if (!records.empty()) campaign_checkpoint_written();
   return true;
 }
 

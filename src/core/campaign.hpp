@@ -32,15 +32,16 @@
 //    every row is a pure function of its stream key (core/shard.hpp).
 //
 //  * Campaign manifest -- optional checkpoint/resume. When
-//    CampaignPlan::manifest_path is set, the engine serializes a manifest
-//    (plan hash + full plan spec + completed-shard records with per-row
-//    results and session counts, versioned JSON like softmc/trace_dump)
-//    after each shard completes, via atomic tmp+rename. A killed campaign
-//    re-run against the same manifest skips completed shards and the merged
-//    result -- rows, reductions, instrumentation -- is byte-identical to an
-//    uninterrupted run. The manifest embeds the plan spec, so
-//    plan_from_manifest reconstructs the campaign from the file alone
-//    (vppctl campaign resume).
+//    CampaignPlan::manifest_path is set, the manifest is an append-only
+//    journal (common/journal.hpp): a header record holding the plan hash
+//    and full plan spec (versioned JSON like softmc/trace_dump), then one
+//    fdatasync'd record per WCDP prep and per completed shard (per-row
+//    results and session counts). A killed campaign re-run against the same
+//    manifest skips completed shards and the merged result -- rows,
+//    reductions, instrumentation -- is byte-identical to an uninterrupted
+//    run. The header embeds the plan spec, so plan_from_manifest
+//    reconstructs the campaign from the file alone (vppctl campaign
+//    resume).
 //
 // Determinism: unit order (module, point, shard) is the assembly and
 // error-priority order regardless of scheduling; manifest records are
@@ -57,6 +58,7 @@
 
 #include "common/cancel.hpp"
 #include "common/expected.hpp"
+#include "common/journal.hpp"
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "core/axis.hpp"
@@ -266,11 +268,12 @@ struct ManifestWcdp {
 };
 
 /// The checkpoint document: plan hash + the full plan spec (so resume can
-/// reconstruct the campaign from the file alone) + completed work.
-/// Versioned like softmc/trace_dump: unknown major versions are rejected,
-/// unknown keys ignored.
+/// reconstruct the campaign from the file alone) + completed work. On disk
+/// it is a journal whose header is this document without records, followed
+/// by one record per WCDP prep and per shard. Versioned like
+/// softmc/trace_dump: other versions are rejected, unknown keys ignored.
 struct CampaignManifest {
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
   static constexpr std::string_view kSchemaPrefix =
       "vppstudy-campaign-manifest/";
 
@@ -324,18 +327,39 @@ void manifest_shard_json(common::JsonWriter& json, const ManifestShard& shard,
     const CampaignManifest& manifest);
 [[nodiscard]] common::Result<CampaignManifest> parse_campaign_manifest(
     const common::JsonValue& doc);
+
+// --- Manifest journal --------------------------------------------------------
+
+/// The zero-record spec document of `plan` at `phase`: what a fresh
+/// checkpoint starts from.
+[[nodiscard]] CampaignManifest manifest_spec(const CampaignPlan& plan,
+                                             JobPhase phase);
+/// kInvalidArgument unless a checkpoint belongs to (`phase`, `plan_hash`).
+[[nodiscard]] common::Status check_manifest_binding(
+    const CampaignManifest& manifest, JobPhase phase, std::uint64_t plan_hash);
+/// Journal payloads: the header (the document without records) and one
+/// record per WCDP prep or shard.
+[[nodiscard]] std::string campaign_journal_header(
+    const CampaignManifest& manifest);
+[[nodiscard]] std::string campaign_wcdp_record(const ManifestWcdp& record);
+[[nodiscard]] std::string campaign_shard_record(const ManifestShard& shard,
+                                                JobPhase phase);
+/// Read-only replay of the journal at `path` (header + records in file
+/// order); a torn final record is ignored, never truncated.
 [[nodiscard]] common::Result<CampaignManifest> load_campaign_manifest(
     const std::string& path);
-/// Atomic write (tmp + rename). Honors VPP_CAMPAIGN_KILL_AFTER=N: the
-/// process SIGKILLs itself after the Nth successful manifest write -- the
-/// deterministic mid-campaign kill used by the CI resume smoke test.
+/// The single writer's open: replays the journal into `manifest` and
+/// truncates a torn final record before the first append.
+[[nodiscard]] common::Result<common::JournalWriter> open_campaign_manifest(
+    const std::string& path, CampaignManifest& manifest);
+/// A complete journal through JournalWriter::create; one checkpoint for
+/// VPP_CAMPAIGN_KILL_AFTER when it holds any record.
 [[nodiscard]] bool write_campaign_manifest(const std::string& path,
                                            const CampaignManifest& manifest);
-/// Advance the shared VPP_CAMPAIGN_KILL_AFTER write counter. Every
-/// checkpoint writer (campaign manifests here, fuzz manifests in
-/// core/fuzz_campaign) calls this after a successful atomic write, so the
-/// env var counts checkpoints of any kind and a kill boundary can land
-/// between fuzz generations as well as between shards.
+/// Count one durable result write (a campaign record append, a fuzz
+/// generation, the fuzz manifest's header) toward VPP_CAMPAIGN_KILL_AFTER=N:
+/// the process SIGKILLs itself at the Nth -- the CI resume smokes' kill.
+/// The variable is read at every call; only armed writes count.
 void campaign_checkpoint_written();
 /// Reconstruct the plan a manifest was checkpointing (vppctl campaign
 /// resume). Fails if a module name is not in the module DB.

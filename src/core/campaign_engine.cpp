@@ -87,81 +87,90 @@ common::Expected<std::vector<ModulePlan>> plan_modules(
   return plans;
 }
 
-/// Checkpoint state of one run: the manifest document plus append-and-flush.
+/// The canonical shard grid of compiled module plans: (module, point,
+/// shard) units in engine order, flat index = position.
+std::vector<ShardCoord> grid_of(const CampaignPlan& plan,
+                                const std::vector<ModulePlan>& plans) {
+  std::vector<ShardCoord> grid;
+  for (std::size_t m = 0; m < plans.size(); ++m) {
+    for (const AxisPoint& point : plans[m].points) {
+      for (const ShardSpec& shard : plans[m].shards) {
+        ShardCoord coord;
+        coord.index = grid.size();
+        coord.module_index = m;
+        coord.module = plan.modules[m].name;
+        coord.point = point;
+        coord.row_begin = static_cast<std::uint32_t>(shard.begin);
+        coord.row_end = static_cast<std::uint32_t>(shard.end);
+        grid.push_back(std::move(coord));
+      }
+    }
+  }
+  return grid;
+}
+
+/// Checkpoint state of one run: the records restored from the manifest
+/// journal, indexed by module and by grid cell, plus the journal writer that
+/// appends each new record.
 struct ManifestCtx {
   bool enabled = false;
   std::string path;
-  CampaignManifest doc;
+  CampaignManifest doc;  ///< header spec + the records restored on open
+  common::JournalWriter journal;  ///< open on resume, else on first append
+  std::vector<const ManifestWcdp*> wcdp;    ///< per module (plan order)
+  std::vector<const ManifestShard*> shard;  ///< per grid index
 
-  [[nodiscard]] const ManifestWcdp* find_wcdp(const std::string& module) const {
-    for (const ManifestWcdp& w : doc.wcdp) {
-      if (w.module == module) return &w;
+  [[nodiscard]] common::Status append(const std::string& record) {
+    if (journal.is_open()) {
+      VPP_RETURN_IF_ERROR(journal.append(record));
+    } else {
+      VPP_ASSIGN_OR_RETURN(
+          journal, common::JournalWriter::create(
+                       path, campaign_journal_header(doc), {record}));
     }
-    return nullptr;
-  }
-  [[nodiscard]] const ManifestShard* find_shard(const std::string& module,
-                                                const AxisPoint& point,
-                                                std::uint32_t row_begin,
-                                                std::uint32_t row_end) const {
-    for (const ManifestShard& s : doc.shards) {
-      if (s.module == module && s.point == point &&
-          s.row_begin == row_begin && s.row_end == row_end) {
-        return &s;
-      }
-    }
-    return nullptr;
-  }
-  [[nodiscard]] common::Status flush() const {
-    if (!write_campaign_manifest(path, doc)) {
-      return Error{ErrorCode::kIoError,
-                   "failed to write campaign manifest " + path};
-    }
+    campaign_checkpoint_written();
     return common::Status::ok_status();
-  }
-  [[nodiscard]] common::Status append_wcdp(ManifestWcdp record) {
-    doc.wcdp.push_back(std::move(record));
-    return flush();
-  }
-  [[nodiscard]] common::Status append_shard(ManifestShard record) {
-    doc.shards.push_back(std::move(record));
-    return flush();
   }
 };
 
-common::Expected<ManifestCtx> init_manifest(const CampaignPlan& plan,
-                                            JobPhase phase,
-                                            std::uint64_t planned_shards) {
+common::Expected<ManifestCtx> init_manifest(
+    const CampaignPlan& plan, JobPhase phase,
+    const std::vector<ModulePlan>& plans, std::uint64_t planned_shards) {
   ManifestCtx ctx;
   if (plan.manifest_path.empty()) return ctx;
   ctx.enabled = true;
   ctx.path = plan.manifest_path;
-  const std::uint64_t hash = plan.digest(phase);
   if (std::ifstream probe(plan.manifest_path); probe.good()) {
-    VPP_ASSIGN_OR_RETURN(ctx.doc, load_campaign_manifest(plan.manifest_path));
-    if (ctx.doc.phase != phase) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "campaign manifest phase mismatch: checkpoint is " +
-                       std::string(campaign_phase_name(ctx.doc.phase)) +
-                       ", plan wants " +
-                       std::string(campaign_phase_name(phase))};
-    }
-    if (ctx.doc.plan_hash != hash) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "campaign manifest plan hash mismatch (the plan changed "
-                   "since the checkpoint was written)"};
-    }
+    VPP_ASSIGN_OR_RETURN(ctx.journal,
+                         open_campaign_manifest(plan.manifest_path, ctx.doc));
+    VPP_RETURN_IF_ERROR(
+        check_manifest_binding(ctx.doc, phase, plan.digest(phase)));
   } else {
-    ctx.doc.phase = phase;
-    ctx.doc.plan_hash = hash;
-    ctx.doc.sweep = plan.sweep;
-    ctx.doc.axes = plan.axes;
-    ctx.doc.seed = plan.seed;
-    ctx.doc.rows_per_shard = plan.rows_per_shard;
-    for (const dram::ModuleProfile& mod : plan.modules) {
-      ctx.doc.modules.emplace_back(mod.name, mod.rows_per_bank);
-    }
+    ctx.doc = manifest_spec(plan, phase);
   }
   ctx.doc.planned_shards = planned_shards;
+
+  // Index the restored records once (first record wins, like a scan would):
+  // modules by name, shards through the grid's key quantization.
+  ctx.wcdp.assign(plan.modules.size(), nullptr);
+  for (const ManifestWcdp& w : ctx.doc.wcdp) {
+    for (std::size_t m = 0; m < plan.modules.size(); ++m) {
+      if (plan.modules[m].name == w.module && ctx.wcdp[m] == nullptr) {
+        ctx.wcdp[m] = &w;
+      }
+    }
+  }
+  if (!ctx.doc.shards.empty()) {
+    const std::vector<ShardCoord> grid = grid_of(plan, plans);
+    const ShardGridIndex index(grid);
+    ctx.shard.assign(grid.size(), nullptr);
+    for (const ManifestShard& s : ctx.doc.shards) {
+      const ShardCoord* coord = index.find(s);
+      if (coord != nullptr && ctx.shard[coord->index] == nullptr) {
+        ctx.shard[coord->index] = &s;
+      }
+    }
+  }
   return ctx;
 }
 
@@ -339,8 +348,9 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
         (kHasPrep ? 1 : 0) + mp.points.size() * mp.shards.size();
   }
 
-  VPP_ASSIGN_OR_RETURN(ManifestCtx manifest,
-                       init_manifest(plan, Traits::kPhase, planned_shards));
+  VPP_ASSIGN_OR_RETURN(
+      ManifestCtx manifest,
+      init_manifest(plan, Traits::kPhase, plans, planned_shards));
 
   Exec exec = make_exec(injected, plan.jobs, planned_jobs);
   auto& arenas = *exec.arenas;
@@ -355,7 +365,8 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
   if constexpr (kHasPrep) {
     for (std::size_t m = 0; m < plans.size(); ++m) {
       const dram::ModuleProfile& profile = plan.modules[m];
-      if (const ManifestWcdp* rec = manifest.find_wcdp(profile.name)) {
+      if (const ManifestWcdp* rec =
+              manifest.enabled ? manifest.wcdp[m] : nullptr) {
         preps[m].wcdp = rec->wcdp;
         preps[m].counted = rec->counted;
         preps[m].counts = rec->counts;
@@ -385,9 +396,12 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
   }
 
   // Compile the unit table up front so lambda captures stay stable.
+  // unit_base[m] is module m's first flat grid index.
   std::vector<std::vector<UnitState<Traits>>> units(plans.size());
+  std::vector<std::size_t> unit_base(plans.size(), 0);
   for (std::size_t m = 0; m < plans.size(); ++m) {
     units[m].resize(plans[m].points.size() * plans[m].shards.size());
+    if (m > 0) unit_base[m] = unit_base[m - 1] + units[m - 1].size();
   }
   std::uint32_t new_shards = 0;
 
@@ -416,7 +430,8 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
         record.wcdp = preps[m].wcdp;
         record.counted = preps[m].counted;
         record.counts = preps[m].counts;
-        if (auto st = manifest.append_wcdp(std::move(record)); !st.ok()) {
+        if (auto st = manifest.append(campaign_wcdp_record(record));
+            !st.ok()) {
           if (!first_error) first_error = std::move(st).error();
         }
       }
@@ -428,10 +443,11 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
       const AxisPoint& point = plans[m].points[p];
       for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
         const ShardSpec shard = plans[m].shards[s];
-        UnitState<Traits>& unit = units[m][p * plans[m].shards.size() + s];
-        if (const ManifestShard* rec = manifest.find_shard(
-                profile.name, point, static_cast<std::uint32_t>(shard.begin),
-                static_cast<std::uint32_t>(shard.end))) {
+        const std::size_t u = p * plans[m].shards.size() + s;
+        UnitState<Traits>& unit = units[m][u];
+        if (const ManifestShard* rec = manifest.shard.empty()
+                                           ? nullptr
+                                           : manifest.shard[unit_base[m] + u]) {
           unit.resolved = true;
           unit.in_manifest = true;
           unit.counted = rec->counted;
@@ -524,7 +540,9 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
           record.counted = unit.counted;
           record.counts = unit.counts;
           Traits::rows(record) = unit.rows;
-          if (auto st = manifest.append_shard(std::move(record)); !st.ok()) {
+          if (auto st =
+                  manifest.append(campaign_shard_record(record, Traits::kPhase));
+              !st.ok()) {
             if (!first_error) first_error = std::move(st).error();
           }
         }
@@ -716,23 +734,7 @@ common::Expected<std::vector<ShardCoord>> compile_campaign_shards(
     const CampaignPlan& plan, JobPhase phase) {
   VPP_ASSIGN_OR_RETURN(std::vector<ModulePlan> plans,
                        plan_modules(plan, phase));
-  std::vector<ShardCoord> grid;
-  std::uint64_t index = 0;
-  for (std::size_t m = 0; m < plans.size(); ++m) {
-    for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
-      for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
-        ShardCoord coord;
-        coord.index = index++;
-        coord.module_index = m;
-        coord.module = plan.modules[m].name;
-        coord.point = plans[m].points[p];
-        coord.row_begin = static_cast<std::uint32_t>(plans[m].shards[s].begin);
-        coord.row_end = static_cast<std::uint32_t>(plans[m].shards[s].end);
-        grid.push_back(std::move(coord));
-      }
-    }
-  }
-  return grid;
+  return grid_of(plan, plans);
 }
 
 common::Expected<CampaignShardBatch> run_campaign_shards(

@@ -1,7 +1,7 @@
 #include "core/campaign_lease.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <iterator>
 #include <utility>
 
 namespace vppstudy::core {
@@ -48,6 +48,7 @@ ShardGridIndex::Key ShardGridIndex::key_of(const std::string& module,
   key.temp_mc = temperature_millidegrees(point.temperature_c);
   key.hammer_count = point.hammer_count;
   key.act_ps = act_to_act_picoseconds(point.act_to_act_ns);
+  key.pattern_hash = point.pattern_hash;
   key.row_begin = row_begin;
   key.row_end = row_end;
   return key;
@@ -140,18 +141,27 @@ CampaignLeaseLedger::Grant CampaignLeaseLedger::lease(
   for (const std::size_t i : order) {
     if (max_shards != 0 && grant.shards.size() >= max_shards) break;
     if (entries[i].state != LeaseState::kOpen) continue;
-    if (grant.token == 0) grant.token = next_token++;
-    entries[i].state = LeaseState::kLeased;
-    entries[i].worker = worker;
-    entries[i].token = grant.token;
-    entries[i].expires_at_ms = now_ms + ttl_ms;
     grant.shards.push_back(static_cast<std::uint64_t>(i));
   }
+  if (grant.shards.empty()) return grant;
   std::sort(grant.shards.begin(), grant.shards.end());
-  if (!grant.shards.empty()) {
-    worker_stats(worker).leased += grant.shards.size();
-  }
+  grant.token = next_token;
+  apply_grant(worker, grant, now_ms + ttl_ms);
   return grant;
+}
+
+void CampaignLeaseLedger::apply_grant(const std::string& worker,
+                                      const Grant& grant,
+                                      std::int64_t expires_at_ms) {
+  for (const std::uint64_t i : grant.shards) {
+    LeaseEntry& entry = entries[static_cast<std::size_t>(i)];
+    entry.state = LeaseState::kLeased;
+    entry.worker = worker;
+    entry.token = grant.token;
+    entry.expires_at_ms = expires_at_ms;
+  }
+  next_token = std::max(next_token, grant.token + 1);
+  worker_stats(worker).leased += grant.shards.size();
 }
 
 std::size_t CampaignLeaseLedger::renew(std::uint64_t token, std::int64_t now_ms,
@@ -185,6 +195,15 @@ void CampaignLeaseLedger::mark_done(std::uint64_t index,
   entry.token = 0;
   entry.expires_at_ms = 0;
   worker_stats(worker).completed += 1;
+}
+
+bool CampaignLeaseLedger::reconcile_done(std::uint64_t index) {
+  LeaseEntry& entry = entries[static_cast<std::size_t>(index)];
+  if (entry.state == LeaseState::kDone) return false;
+  entry.state = LeaseState::kDone;
+  entry.token = 0;
+  entry.expires_at_ms = 0;
+  return true;
 }
 
 std::uint64_t CampaignLeaseLedger::count(LeaseState state) const {
@@ -247,7 +266,7 @@ common::Result<CampaignLeaseLedger> parse_campaign_ledger(
   CampaignLeaseLedger ledger;
   ledger.version = std::atoi(
       schema.substr(CampaignLeaseLedger::kSchemaPrefix.size()).c_str());
-  if (ledger.version < 1 || ledger.version > CampaignLeaseLedger::kVersion) {
+  if (ledger.version != CampaignLeaseLedger::kVersion) {
     return fail("unsupported version " + std::to_string(ledger.version));
   }
   if (!campaign_phase_from_name(doc.string_or("phase", ""), ledger.phase)) {
@@ -297,17 +316,117 @@ common::Result<CampaignLeaseLedger> parse_campaign_ledger(
   return ledger;
 }
 
-common::Result<CampaignLeaseLedger> load_campaign_ledger(
-    const std::string& path) {
-  VPP_ASSIGN_OR_RETURN(JsonValue doc, common::parse_json_file(path));
-  return parse_campaign_ledger(doc);
+// --- Ledger journal ----------------------------------------------------------
+
+namespace {
+
+constexpr std::string_view kLeaseEventNames[] = {"grant", "renew", "done",
+                                                 "reconcile"};
+
+common::Result<CampaignLeaseLedger> replay_campaign_ledger(
+    const common::JournalContents& journal) {
+  VPP_ASSIGN_OR_RETURN(JsonValue header, common::parse_json(journal.header));
+  VPP_ASSIGN_OR_RETURN(CampaignLeaseLedger ledger,
+                       parse_campaign_ledger(header));
+  for (const std::string& text : journal.records) {
+    VPP_ASSIGN_OR_RETURN(JsonValue doc, common::parse_json(text));
+    LeaseEvent event;
+    const std::string op = doc.string_or("op", "");
+    const auto* name = std::find(std::begin(kLeaseEventNames),
+                                 std::end(kLeaseEventNames), op);
+    if (name == std::end(kLeaseEventNames)) {
+      return Error{ErrorCode::kParseError,
+                   "campaign lease ledger: unknown event '" + op + "'"};
+    }
+    event.kind =
+        static_cast<LeaseEvent::Kind>(name - std::begin(kLeaseEventNames));
+    event.now_ms = static_cast<std::int64_t>(doc.number_or("now_ms", 0.0));
+    event.worker = doc.string_or("worker", "");
+    (void)parse_u64_hex(doc.string_or("token", ""), event.token);
+    event.ttl_ms = static_cast<std::int64_t>(doc.number_or("ttl_ms", 0.0));
+    if (const JsonValue* shards = doc.find("shards")) {
+      for (const JsonValue& v : shards->items()) {
+        event.shards.push_back(static_cast<std::uint64_t>(v.as_number()));
+      }
+    }
+    VPP_RETURN_IF_ERROR(apply_lease_event(ledger, event));
+  }
+  return ledger;
 }
 
-bool write_campaign_ledger(const std::string& path,
-                           const CampaignLeaseLedger& ledger) {
-  const std::string tmp = path + ".tmp";
-  if (!campaign_ledger_json(ledger).write_file(tmp)) return false;
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+}  // namespace
+
+std::string lease_event_record(const LeaseEvent& event) {
+  common::JsonWriter json;
+  json.begin_object();
+  json.kv("op", kLeaseEventNames[static_cast<std::size_t>(event.kind)]);
+  json.kv("now_ms", event.now_ms);
+  if (!event.worker.empty()) json.kv("worker", event.worker);
+  if (event.token != 0) json.kv("token", u64_hex(event.token));
+  if (event.ttl_ms != 0) json.kv("ttl_ms", event.ttl_ms);
+  json.key("shards").begin_array();
+  for (const std::uint64_t i : event.shards) json.value(i);
+  json.end_array();
+  json.end_object();
+  return json.str();
+}
+
+common::Status apply_lease_event(CampaignLeaseLedger& ledger,
+                                 const LeaseEvent& event) {
+  for (const std::uint64_t i : event.shards) {
+    if (i >= ledger.entries.size()) {
+      return Error{ErrorCode::kParseError,
+                   "campaign lease ledger event names shard " +
+                       std::to_string(i) + " outside the grid"};
+    }
+  }
+  switch (event.kind) {
+    case LeaseEvent::Kind::kGrant:
+      if (event.token == 0 || event.shards.empty()) {
+        return Error{ErrorCode::kParseError,
+                     "campaign lease ledger grant without token or shards"};
+      }
+      ledger.expire_stale(event.now_ms);
+      ledger.apply_grant(event.worker, {event.token, event.shards},
+                         event.now_ms + event.ttl_ms);
+      break;
+    case LeaseEvent::Kind::kRenew:
+      (void)ledger.renew(event.token, event.now_ms, event.ttl_ms);
+      break;
+    case LeaseEvent::Kind::kDone:
+      ledger.expire_stale(event.now_ms);
+      for (const std::uint64_t i : event.shards) {
+        ledger.mark_done(i, event.worker);
+      }
+      break;
+    case LeaseEvent::Kind::kReconcile:
+      for (const std::uint64_t i : event.shards) {
+        (void)ledger.reconcile_done(i);
+      }
+      break;
+  }
+  return common::Status::ok_status();
+}
+
+common::Result<CampaignLeaseLedger> load_campaign_ledger(
+    const std::string& path) {
+  VPP_ASSIGN_OR_RETURN(common::JournalContents journal,
+                       common::read_journal(path));
+  return replay_campaign_ledger(journal);
+}
+
+common::Result<common::JournalWriter> open_campaign_ledger(
+    const std::string& path, CampaignLeaseLedger& ledger) {
+  common::JournalContents journal;
+  VPP_ASSIGN_OR_RETURN(common::JournalWriter writer,
+                       common::JournalWriter::open_for_append(path, journal));
+  VPP_ASSIGN_OR_RETURN(ledger, replay_campaign_ledger(journal));
+  return writer;
+}
+
+common::Result<common::JournalWriter> write_campaign_ledger(
+    const std::string& path, const CampaignLeaseLedger& ledger) {
+  return common::JournalWriter::create(path, campaign_ledger_json(ledger).str());
 }
 
 std::string campaign_ledger_path(const std::string& manifest_path) {
@@ -384,6 +503,7 @@ common::Result<ShardMergeOutcome> merge_campaign_shards(
       }
     }
     if (present) continue;
+    outcome.new_wcdp.push_back(i);
     std::size_t at = manifest.wcdp.size();
     for (std::size_t j = 0; j < manifest.wcdp.size(); ++j) {
       if (module_pos(manifest.wcdp[j].module) > wcdp_pos[i]) {
@@ -407,6 +527,7 @@ common::Result<ShardMergeOutcome> merge_campaign_shards(
     const auto pos = it - existing.begin();
     existing.insert(it, at_index);
     manifest.shards.insert(manifest.shards.begin() + pos, shards[i]);
+    outcome.new_shards.push_back(i);
     ++outcome.accepted;
   }
   return outcome;

@@ -17,8 +17,10 @@
 // re-leased under a *new* token; a late submission under the old token is
 // rejected with kLeaseExpired and nothing is merged -- results are never
 // double-counted even though (by determinism) a duplicate would carry the
-// same bytes. The ledger is versioned JSON persisted beside the manifest
-// (campaign_ledger_path) so a restarted coordinator resumes leases too.
+// same bytes. The ledger is a journal (common/journal.hpp) persisted
+// beside the manifest (campaign_ledger_path): a header holding the ledger
+// document, then one LeaseEvent record per grant, renewal, submission or
+// reconciliation, so a restarted coordinator resumes leases too.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common/expected.hpp"
+#include "common/journal.hpp"
 #include "common/json.hpp"
 #include "core/campaign.hpp"
 
@@ -55,7 +58,8 @@ struct ShardCoord {
 
 /// Coordinate -> grid index lookup (keys quantize the axis doubles the same
 /// way stream seeds do, so a manifest record round-tripped through JSON maps
-/// back to its cell exactly).
+/// back to its cell exactly). The coordinator's merge and the engine's
+/// resume both resolve records through it.
 class ShardGridIndex {
  public:
   ShardGridIndex() = default;
@@ -72,6 +76,7 @@ class ShardGridIndex {
     std::int64_t temp_mc = 0;
     std::uint64_t hammer_count = 0;
     std::int64_t act_ps = 0;
+    std::uint64_t pattern_hash = 0;
     std::uint32_t row_begin = 0;
     std::uint32_t row_end = 0;
     friend auto operator<=>(const Key&, const Key&) = default;
@@ -135,7 +140,7 @@ struct LeaseWorkerStats {
 /// parallel to the canonical shard grid; all state transitions are explicit
 /// in `now_ms` so expiry and fencing are unit-testable without clocks.
 struct CampaignLeaseLedger {
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
   static constexpr std::string_view kSchemaPrefix = "vppstudy-campaign-leases/";
 
   int version = kVersion;
@@ -172,6 +177,9 @@ struct CampaignLeaseLedger {
   [[nodiscard]] Grant lease(const std::string& worker, std::size_t max_shards,
                             std::int64_t now_ms, std::int64_t ttl_ms,
                             const std::vector<std::size_t>* modules = nullptr);
+  /// The state change of a non-empty grant (lease() and journal replay).
+  void apply_grant(const std::string& worker, const Grant& grant,
+                   std::int64_t expires_at_ms);
 
   /// Extend the deadline of every shard still leased under `token`. Returns
   /// how many were renewed (0 = the lease is gone; the worker should
@@ -189,6 +197,10 @@ struct CampaignLeaseLedger {
 
   /// Record a merged shard: entry -> kDone, worker's `completed` grows.
   void mark_done(std::uint64_t index, const std::string& worker);
+  /// A shard found in the manifest on coordinator open: entry -> kDone
+  /// without crediting anyone (its submitter already was). False when the
+  /// entry was done already.
+  bool reconcile_done(std::uint64_t index);
 
   [[nodiscard]] std::uint64_t count(LeaseState state) const;
   [[nodiscard]] bool complete() const {
@@ -196,16 +208,41 @@ struct CampaignLeaseLedger {
   }
 };
 
+/// One ledger journal record. Events carry outcomes (the granted shards,
+/// the merged shards), never policy inputs, so replay needs no plan.
+struct LeaseEvent {
+  enum class Kind : std::uint8_t { kGrant, kRenew, kDone, kReconcile };
+  Kind kind = Kind::kGrant;
+  std::int64_t now_ms = 0;
+  std::string worker;         ///< kGrant, kDone
+  std::uint64_t token = 0;    ///< kGrant, kRenew
+  std::int64_t ttl_ms = 0;    ///< kGrant, kRenew
+  std::vector<std::uint64_t> shards;  ///< kGrant, kDone, kReconcile
+};
+
+[[nodiscard]] std::string lease_event_record(const LeaseEvent& event);
+/// Replay one event: exactly the state change the coordinator made when it
+/// recorded it (expiry at `now_ms` first for grants and submissions).
+[[nodiscard]] common::Status apply_lease_event(CampaignLeaseLedger& ledger,
+                                               const LeaseEvent& event);
+
+/// The ledger document: the journal header, holding the full live state.
 [[nodiscard]] common::JsonWriter campaign_ledger_json(
     const CampaignLeaseLedger& ledger);
 [[nodiscard]] common::Result<CampaignLeaseLedger> parse_campaign_ledger(
     const common::JsonValue& doc);
+/// Read-only replay (a torn final record is ignored, never truncated).
 [[nodiscard]] common::Result<CampaignLeaseLedger> load_campaign_ledger(
     const std::string& path);
-/// Atomic write (tmp + rename), like the manifest but without the
-/// kill-after-write switch: lease state is control-plane, not results.
-[[nodiscard]] bool write_campaign_ledger(const std::string& path,
-                                         const CampaignLeaseLedger& ledger);
+/// The coordinator's open: replay into `ledger`, truncate a torn tail.
+[[nodiscard]] common::Result<common::JournalWriter> open_campaign_ledger(
+    const std::string& path, CampaignLeaseLedger& ledger);
+/// Create a header-only journal of the ledger's live state (a fresh
+/// campaign, or compaction at completion, where every record is
+/// superseded) and return its writer. Outside the VPP_CAMPAIGN_KILL_AFTER
+/// count: lease state is control-plane, not results.
+[[nodiscard]] common::Result<common::JournalWriter> write_campaign_ledger(
+    const std::string& path, const CampaignLeaseLedger& ledger);
 /// Where the ledger lives for a given manifest: `<manifest>.leases.json`.
 [[nodiscard]] std::string campaign_ledger_path(
     const std::string& manifest_path);
@@ -215,6 +252,10 @@ struct CampaignLeaseLedger {
 struct ShardMergeOutcome {
   std::size_t accepted = 0;    ///< new records inserted
   std::size_t duplicates = 0;  ///< already present (idempotent)
+  /// Positions (in the submitted vectors) of the records inserted, in
+  /// submission order: what a journal appends.
+  std::vector<std::size_t> new_wcdp;
+  std::vector<std::size_t> new_shards;
 };
 
 /// Merge a worker's batch into the manifest, keeping `manifest.shards`

@@ -1,7 +1,6 @@
 #include "core/fuzz_campaign.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <utility>
 
@@ -158,13 +157,6 @@ common::JsonWriter fuzz_manifest_json(const FuzzManifest& m) {
   }
   json.end_object();
   json.key("plan").raw(campaign_manifest_json(m.plan).str());
-  json.key("completed").begin_array();
-  for (const std::vector<FuzzPopulation>& generation : m.completed) {
-    json.begin_array();
-    for (const FuzzPopulation& pop : generation) population_json(json, pop);
-    json.end_array();
-  }
-  json.end_array();
   json.end_object();
   return json;
 }
@@ -216,30 +208,46 @@ common::Result<FuzzManifest> parse_fuzz_manifest(const JsonValue& doc) {
     return Error{ErrorCode::kParseError, "fuzz manifest lacks a plan"};
   }
   VPP_ASSIGN_OR_RETURN(m.plan, parse_campaign_manifest(*plan));
-  if (const JsonValue* completed = doc.find("completed")) {
-    for (const JsonValue& generation : completed->items()) {
-      std::vector<FuzzPopulation> pops;
-      for (const JsonValue& item : generation.items()) {
-        VPP_ASSIGN_OR_RETURN(FuzzPopulation pop, parse_population(item));
-        pops.push_back(std::move(pop));
-      }
-      m.completed.push_back(std::move(pops));
+  return m;
+}
+
+namespace {
+
+std::string generation_record(const std::vector<FuzzPopulation>& generation) {
+  common::JsonWriter json;
+  json.begin_object().key("generation").begin_array();
+  for (const FuzzPopulation& pop : generation) population_json(json, pop);
+  json.end_array().end_object();
+  return json.str();
+}
+
+common::Result<FuzzManifest> replay_fuzz_manifest(
+    const common::JournalContents& journal) {
+  VPP_ASSIGN_OR_RETURN(JsonValue header, common::parse_json(journal.header));
+  VPP_ASSIGN_OR_RETURN(FuzzManifest m, parse_fuzz_manifest(header));
+  for (const std::string& record : journal.records) {
+    VPP_ASSIGN_OR_RETURN(JsonValue doc, common::parse_json(record));
+    const JsonValue* generation = doc.find("generation");
+    if (generation == nullptr || !generation->is_array()) {
+      return Error{ErrorCode::kParseError,
+                   "fuzz manifest record is not a generation"};
     }
+    std::vector<FuzzPopulation> pops;
+    for (const JsonValue& item : generation->items()) {
+      VPP_ASSIGN_OR_RETURN(FuzzPopulation pop, parse_population(item));
+      pops.push_back(std::move(pop));
+    }
+    m.completed.push_back(std::move(pops));
   }
   return m;
 }
 
-common::Result<FuzzManifest> load_fuzz_manifest(const std::string& path) {
-  VPP_ASSIGN_OR_RETURN(JsonValue doc, common::parse_json_file(path));
-  return parse_fuzz_manifest(doc);
-}
+}  // namespace
 
-bool write_fuzz_manifest(const std::string& path, const FuzzManifest& m) {
-  const std::string tmp = path + ".tmp";
-  if (!fuzz_manifest_json(m).write_file(tmp)) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) return false;
-  campaign_checkpoint_written();
-  return true;
+common::Result<FuzzManifest> load_fuzz_manifest(const std::string& path) {
+  VPP_ASSIGN_OR_RETURN(common::JournalContents journal,
+                       common::read_journal(path));
+  return replay_fuzz_manifest(journal);
 }
 
 common::Result<FuzzCampaignConfig> config_from_fuzz_manifest(
@@ -270,10 +278,14 @@ common::Expected<FuzzCampaignResult> run_fuzz_campaign(
 
   const std::uint64_t digest = fuzz_config_digest(config);
   FuzzManifest manifest;
+  common::JournalWriter journal;
   const std::string& manifest_path = config.base.manifest_path;
   if (!manifest_path.empty() &&
       std::ifstream(manifest_path.c_str()).good()) {
-    VPP_ASSIGN_OR_RETURN(manifest, load_fuzz_manifest(manifest_path));
+    common::JournalContents contents;
+    VPP_ASSIGN_OR_RETURN(
+        journal, common::JournalWriter::open_for_append(manifest_path, contents));
+    VPP_ASSIGN_OR_RETURN(manifest, replay_fuzz_manifest(contents));
     if (manifest.config_hash != digest) {
       return Error{ErrorCode::kInvalidArgument,
                    "fuzz manifest config hash mismatch (the config changed "
@@ -300,22 +312,16 @@ common::Expected<FuzzCampaignResult> run_fuzz_campaign(
     manifest.config_hash = digest;
     manifest.generations = config.generations;
     manifest.fuzzer = config.fuzzer;
-    manifest.plan.phase = JobPhase::kRowHammer;
-    manifest.plan.plan_hash = config.base.digest(JobPhase::kRowHammer);
-    manifest.plan.sweep = config.base.sweep;
-    manifest.plan.axes = config.base.axes;
-    manifest.plan.seed = config.base.seed;
-    manifest.plan.rows_per_shard = config.base.rows_per_shard;
-    for (const dram::ModuleProfile& mod : config.base.modules) {
-      manifest.plan.modules.emplace_back(mod.name, mod.rows_per_bank);
-    }
-    // Write the empty manifest up front: generation 0's engine checkpoints
-    // land beside it, and a kill before the first generation completes must
-    // still leave a file `fuzz resume` can load.
-    if (!manifest_path.empty() &&
-        !write_fuzz_manifest(manifest_path, manifest)) {
-      return Error{ErrorCode::kIoError,
-                   "failed to write fuzz manifest " + manifest_path};
+    manifest.plan = manifest_spec(config.base, JobPhase::kRowHammer);
+    // Write the header up front: generation 0's engine checkpoints land
+    // beside it, and a kill before the first generation completes must
+    // still leave a file `fuzz resume` can load. It counts as a checkpoint,
+    // so VPP_CAMPAIGN_KILL_AFTER boundaries land where they always did.
+    if (!manifest_path.empty()) {
+      VPP_ASSIGN_OR_RETURN(
+          journal, common::JournalWriter::create(
+                       manifest_path, fuzz_manifest_json(manifest).str()));
+      campaign_checkpoint_written();
     }
   }
 
@@ -411,12 +417,11 @@ common::Expected<FuzzCampaignResult> run_fuzz_campaign(
       generation[k].vpp_mv = keys[k].vpp_mv;
       generation[k].members = scored[k];
     }
-    manifest.completed.push_back(std::move(generation));
-    if (!manifest_path.empty() &&
-        !write_fuzz_manifest(manifest_path, manifest)) {
-      return Error{ErrorCode::kIoError,
-                   "failed to write fuzz manifest " + manifest_path};
+    if (journal.is_open()) {
+      VPP_RETURN_IF_ERROR(journal.append(generation_record(generation)));
+      campaign_checkpoint_written();
     }
+    manifest.completed.push_back(std::move(generation));
   }
 
   FuzzCampaignResult result;

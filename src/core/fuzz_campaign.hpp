@@ -17,9 +17,10 @@
 // and manifests at any --jobs count. The CI pattern-fuzz gauntlet asserts
 // both properties, plus kill/resume byte-identity.
 //
-// Checkpointing is two-level. The fuzz manifest (vppstudy-fuzz-manifest/1,
-// at FuzzCampaignConfig::base.manifest_path) records the config spec and
-// every completed generation's scored populations; each generation's engine
+// Checkpointing is two-level. The fuzz manifest (vppstudy-fuzz-manifest/2,
+// at FuzzCampaignConfig::base.manifest_path) is a journal
+// (common/journal.hpp): a header holding the config spec, then one record
+// per completed generation's scored populations; each generation's engine
 // run checkpoints its own campaign manifest beside it at
 // fuzz_generation_manifest_path(). A killed campaign resumes from the pair:
 // completed generations restore from the fuzz manifest without touching a
@@ -70,12 +71,13 @@ struct FuzzCampaignConfig {
 [[nodiscard]] std::string fuzz_generation_manifest_path(
     const std::string& manifest_path, std::uint32_t generation);
 
-/// The fuzz-level checkpoint document: config hash + the full config spec
-/// (the base plan rides inside a zero-shard CampaignManifest, reusing its
-/// serialization and plan_from_manifest) + every completed generation's
-/// scored populations, in (module, VPP level) order.
+/// The fuzz-level checkpoint: config hash + the full config spec (the base
+/// plan rides inside a zero-shard CampaignManifest, reusing its
+/// serialization and plan_from_manifest) in the journal header, + every
+/// completed generation's scored populations, in (module, VPP level) order,
+/// one journal record per generation.
 struct FuzzManifest {
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
   static constexpr std::string_view kSchemaPrefix = "vppstudy-fuzz-manifest/";
 
   int version = kVersion;
@@ -86,15 +88,13 @@ struct FuzzManifest {
   std::vector<std::vector<FuzzPopulation>> completed;  ///< [generation][point]
 };
 
+/// The journal header: every field but `completed`.
 [[nodiscard]] common::JsonWriter fuzz_manifest_json(const FuzzManifest& m);
 [[nodiscard]] common::Result<FuzzManifest> parse_fuzz_manifest(
     const common::JsonValue& doc);
+/// Read-only replay of the journal (a torn final record is ignored).
 [[nodiscard]] common::Result<FuzzManifest> load_fuzz_manifest(
     const std::string& path);
-/// Atomic write (tmp + rename); advances the VPP_CAMPAIGN_KILL_AFTER
-/// counter via campaign_checkpoint_written().
-[[nodiscard]] bool write_fuzz_manifest(const std::string& path,
-                                       const FuzzManifest& m);
 /// Reconstruct the config a fuzz manifest was checkpointing (vppctl fuzz
 /// resume works from the file alone). Execution knobs (jobs, manifest_path)
 /// are left at defaults for the caller to re-choose.

@@ -34,114 +34,67 @@ common::Result<std::unique_ptr<CampaignCoordinator>> CampaignCoordinator::open(
     coord->shard_modules_.push_back(coord_cell.module_index);
   }
   coord->plan_ = std::move(plan);
-
-  // Manifest: resume an existing checkpoint (the same validation the engine
-  // applies) or start a fresh spec document.
-  const core::CampaignPlan& p = coord->plan_;
-  bool have_manifest = false;
-  if (!coord->manifest_path_.empty()) {
-    if (std::ifstream probe(coord->manifest_path_); probe.good()) {
-      VPP_ASSIGN_OR_RETURN(coord->manifest_,
-                           core::load_campaign_manifest(coord->manifest_path_));
-      have_manifest = true;
-      if (coord->manifest_.phase != phase) {
-        return Error{ErrorCode::kInvalidArgument,
-                     "campaign manifest phase mismatch: checkpoint is " +
-                         std::string(core::campaign_phase_name(
-                             coord->manifest_.phase)) +
-                         ", plan wants " +
-                         std::string(core::campaign_phase_name(phase))};
-      }
-      if (coord->manifest_.plan_hash != coord->plan_hash_) {
-        return Error{ErrorCode::kInvalidArgument,
-                     "campaign manifest plan hash mismatch (the plan changed "
-                     "since the checkpoint was written)"};
-      }
-    }
-  }
-  if (!have_manifest) {
-    coord->manifest_.phase = phase;
-    coord->manifest_.plan_hash = coord->plan_hash_;
-    coord->manifest_.sweep = p.sweep;
-    coord->manifest_.axes = p.axes;
-    coord->manifest_.seed = p.seed;
-    coord->manifest_.rows_per_shard = p.rows_per_shard;
-    for (const dram::ModuleProfile& mod : p.modules) {
-      coord->manifest_.modules.emplace_back(mod.name, mod.rows_per_bank);
-    }
-  }
+  coord->manifest_ = core::manifest_spec(coord->plan_, phase);
   coord->manifest_.planned_shards = coord->grid_.size();
+  coord->spec_json_ = core::campaign_journal_header(coord->manifest_);
+  coord->ledger_.phase = phase;
+  coord->ledger_.plan_hash = coord->plan_hash_;
+  coord->ledger_.entries.resize(coord->grid_.size());
+  if (coord->manifest_path_.empty()) return coord;
+
+  // Manifest: resume an existing journal (the same validation the engine
+  // applies). Its records are in submission order; merging them restores
+  // the canonical order of the in-memory view.
+  const std::string& path = coord->manifest_path_;
+  if (std::ifstream probe(path); probe.good()) {
+    core::CampaignManifest replayed;
+    VPP_ASSIGN_OR_RETURN(coord->manifest_journal_,
+                         core::open_campaign_manifest(path, replayed));
+    VPP_RETURN_IF_ERROR(
+        core::check_manifest_binding(replayed, phase, coord->plan_hash_));
+    VPP_RETURN_IF_ERROR(core::merge_campaign_shards(
+        coord->manifest_, coord->grid_, coord->plan_hash_, replayed.wcdp,
+        replayed.shards));
+  } else {
+    VPP_ASSIGN_OR_RETURN(coord->manifest_journal_,
+                         common::JournalWriter::create(path, coord->spec_json_));
+  }
 
   // Ledger: resume or start fresh (entries parallel to the grid).
-  bool have_ledger = false;
-  if (!coord->manifest_path_.empty()) {
-    const std::string ledger_path =
-        core::campaign_ledger_path(coord->manifest_path_);
-    if (std::ifstream probe(ledger_path); probe.good()) {
-      VPP_ASSIGN_OR_RETURN(coord->ledger_,
-                           core::load_campaign_ledger(ledger_path));
-      have_ledger = true;
-      if (coord->ledger_.phase != phase ||
-          coord->ledger_.plan_hash != coord->plan_hash_ ||
-          coord->ledger_.entries.size() != coord->grid_.size()) {
-        return Error{ErrorCode::kInvalidArgument,
-                     "campaign lease ledger does not match the plan (wrong "
-                     "phase, plan hash, or shard count)"};
-      }
+  const std::string ledger_path = core::campaign_ledger_path(path);
+  const bool have_ledger = std::ifstream(ledger_path).good();
+  if (have_ledger) {
+    VPP_ASSIGN_OR_RETURN(coord->ledger_journal_,
+                         core::open_campaign_ledger(ledger_path, coord->ledger_));
+    if (coord->ledger_.phase != phase ||
+        coord->ledger_.plan_hash != coord->plan_hash_ ||
+        coord->ledger_.entries.size() != coord->grid_.size()) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "campaign lease ledger does not match the plan (wrong "
+                   "phase, plan hash, or shard count)"};
     }
-  }
-  if (!have_ledger) {
-    coord->ledger_.phase = phase;
-    coord->ledger_.plan_hash = coord->plan_hash_;
-    coord->ledger_.entries.resize(coord->grid_.size());
   }
 
   // Reconcile: every shard already in the manifest is done, whatever the
-  // ledger thinks (a crash between the manifest flush and the ledger flush
-  // must not re-lease merged work forever). Stats stay untouched -- the
-  // submitting worker was already credited when the ledger last flushed.
+  // ledger thinks (a crash between the manifest append and the ledger
+  // append must not re-lease merged work forever). Stats stay untouched --
+  // the submitting worker was already credited when its submission merged.
+  core::LeaseEvent reconciled;
+  reconciled.kind = core::LeaseEvent::Kind::kReconcile;
   for (const core::ManifestShard& shard : coord->manifest_.shards) {
-    const core::ShardCoord* coord_cell = coord->grid_index_.find(shard);
-    if (coord_cell == nullptr) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "campaign manifest holds a shard record that is not a "
-                   "cell of the plan's grid"};
-    }
-    core::LeaseEntry& entry = coord->ledger_.entries[coord_cell->index];
-    if (entry.state != LeaseState::kDone) {
-      entry.state = LeaseState::kDone;
-      entry.token = 0;
-      entry.expires_at_ms = 0;
+    const std::uint64_t index = coord->grid_index_.find(shard)->index;
+    if (coord->ledger_.reconcile_done(index)) {
+      reconciled.shards.push_back(index);
     }
   }
-
-  // Cache the zero-shard spec document shipped to need_plan workers.
-  core::CampaignManifest spec = coord->manifest_;
-  spec.wcdp.clear();
-  spec.shards.clear();
-  coord->spec_json_ = core::campaign_manifest_json(spec).str();
-
-  {
-    std::lock_guard lock(coord->mu_);
-    if (auto st = coord->flush_locked(); !st.ok()) {
-      return std::move(st).error();
-    }
+  if (!have_ledger) {
+    VPP_ASSIGN_OR_RETURN(coord->ledger_journal_,
+                         core::write_campaign_ledger(ledger_path, coord->ledger_));
+  } else if (!reconciled.shards.empty()) {
+    VPP_RETURN_IF_ERROR(
+        coord->ledger_journal_.append(core::lease_event_record(reconciled)));
   }
   return coord;
-}
-
-common::Status CampaignCoordinator::flush_locked() {
-  if (manifest_path_.empty()) return common::Status::ok_status();
-  if (!core::write_campaign_manifest(manifest_path_, manifest_)) {
-    return Error{ErrorCode::kIoError,
-                 "failed to write campaign manifest " + manifest_path_};
-  }
-  const std::string ledger_path = core::campaign_ledger_path(manifest_path_);
-  if (!core::write_campaign_ledger(ledger_path, ledger_)) {
-    return Error{ErrorCode::kIoError,
-                 "failed to write campaign lease ledger " + ledger_path};
-  }
-  return common::Status::ok_status();
 }
 
 LeaseGrant CampaignCoordinator::grant_snapshot_locked() const {
@@ -161,14 +114,16 @@ common::Result<LeaseGrant> CampaignCoordinator::lease(
   CampaignLeaseLedger::Grant granted =
       ledger_.lease(worker, static_cast<std::size_t>(max_shards), now_ms,
                     ttl_ms, &shard_modules_);
-  if (granted.token != 0 && !manifest_path_.empty()) {
-    // Ledger only: the manifest did not change, and an extra manifest write
-    // would shift the deterministic VPP_CAMPAIGN_KILL_AFTER count.
-    const std::string ledger_path = core::campaign_ledger_path(manifest_path_);
-    if (!core::write_campaign_ledger(ledger_path, ledger_)) {
-      return Error{ErrorCode::kIoError,
-                   "failed to write campaign lease ledger " + ledger_path};
-    }
+  if (granted.token != 0 && ledger_journal_.is_open()) {
+    // Ledger only: the manifest did not change.
+    core::LeaseEvent event{.kind = core::LeaseEvent::Kind::kGrant,
+                           .now_ms = now_ms,
+                           .worker = worker,
+                           .token = granted.token,
+                           .ttl_ms = ttl_ms,
+                           .shards = granted.shards};
+    VPP_RETURN_IF_ERROR(
+        ledger_journal_.append(core::lease_event_record(event)));
   }
   LeaseGrant grant = grant_snapshot_locked();
   grant.token = granted.token;
@@ -186,7 +141,7 @@ common::Result<SubmitOutcome> CampaignCoordinator::submit(
     const std::vector<core::ManifestWcdp>& wcdp,
     const std::vector<core::ManifestShard>& shards, std::int64_t now_ms) {
   std::lock_guard lock(mu_);
-  ledger_.expire_stale(now_ms);
+  const std::size_t expired = ledger_.expire_stale(now_ms);
 
   // Fencing before merging -- but only once the batch provably belongs to
   // this campaign's grid; a wrong plan hash or an off-grid record takes the
@@ -218,7 +173,36 @@ common::Result<SubmitOutcome> CampaignCoordinator::submit(
   for (const std::uint64_t index : mergeable) {
     ledger_.mark_done(index, worker);
   }
-  if (auto st = flush_locked(); !st.ok()) return std::move(st).error();
+  if (!manifest_path_.empty()) {
+    // Manifest first, ledger second (see the header comment).
+    std::vector<std::string> records;
+    for (const std::size_t i : merged.new_wcdp) {
+      records.push_back(core::campaign_wcdp_record(wcdp[i]));
+    }
+    for (const std::size_t i : merged.new_shards) {
+      records.push_back(core::campaign_shard_record(shards[i], phase_));
+    }
+    if (!records.empty()) {
+      VPP_RETURN_IF_ERROR(manifest_journal_.append(records));
+      core::campaign_checkpoint_written();
+    }
+    if (!mergeable.empty() || expired > 0) {
+      if (ledger_.complete()) {
+        // Completion compacts: every grant and renewal is superseded.
+        VPP_ASSIGN_OR_RETURN(
+            ledger_journal_,
+            core::write_campaign_ledger(
+                core::campaign_ledger_path(manifest_path_), ledger_));
+      } else {
+        core::LeaseEvent event{.kind = core::LeaseEvent::Kind::kDone,
+                               .now_ms = now_ms,
+                               .worker = worker,
+                               .shards = mergeable};
+        VPP_RETURN_IF_ERROR(
+            ledger_journal_.append(core::lease_event_record(event)));
+      }
+    }
+  }
 
   SubmitOutcome outcome;
   outcome.accepted = merged.accepted;
@@ -238,12 +222,14 @@ common::Result<std::uint64_t> CampaignCoordinator::heartbeat(
                  "no shard remains leased under token " +
                      core::u64_hex(token) + "; re-lease"};
   }
-  if (!manifest_path_.empty()) {
-    const std::string ledger_path = core::campaign_ledger_path(manifest_path_);
-    if (!core::write_campaign_ledger(ledger_path, ledger_)) {
-      return Error{ErrorCode::kIoError,
-                   "failed to write campaign lease ledger " + ledger_path};
-    }
+  if (ledger_journal_.is_open()) {
+    core::LeaseEvent event;
+    event.kind = core::LeaseEvent::Kind::kRenew;
+    event.now_ms = now_ms;
+    event.token = token;
+    event.ttl_ms = ttl_ms;
+    VPP_RETURN_IF_ERROR(
+        ledger_journal_.append(core::lease_event_record(event)));
   }
   return static_cast<std::uint64_t>(renewed);
 }

@@ -12,10 +12,11 @@
 // All time-dependent operations take an explicit `now_ms` so lease expiry
 // and fencing are unit-testable without sleeping; the daemon passes
 // steady_now_ms(). With an empty manifest path the coordinator is purely
-// in-memory (tests); otherwise every accepted submit flushes the manifest
-// first and the ledger second, so a crash between the two re-leases work
-// that is already merged -- which the merge then counts as duplicates, the
-// safe direction.
+// in-memory (tests); otherwise both files are journals (common/journal.hpp)
+// and every accepted submit appends its new records to the manifest first
+// and a done event to the ledger second, so a crash between the two
+// re-leases work that is already merged -- which the merge then counts as
+// duplicates, the safe direction.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +100,6 @@ class CampaignCoordinator {
  private:
   CampaignCoordinator() = default;
 
-  /// Manifest first, ledger second (see file comment). Caller holds mu_.
-  [[nodiscard]] common::Status flush_locked();
   [[nodiscard]] LeaseGrant grant_snapshot_locked() const;
 
   core::CampaignPlan plan_;
@@ -116,8 +115,10 @@ class CampaignCoordinator {
   std::vector<std::size_t> shard_modules_;
 
   mutable std::mutex mu_;
-  core::CampaignManifest manifest_;
+  core::CampaignManifest manifest_;  ///< canonical order (merged)
   core::CampaignLeaseLedger ledger_;
+  common::JournalWriter manifest_journal_;  ///< open iff manifest_path_ set
+  common::JournalWriter ledger_journal_;
 };
 
 }  // namespace vppstudy::server

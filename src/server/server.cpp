@@ -4,6 +4,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/journal.hpp"
 #include "common/json.hpp"
 #include "server/protocol.hpp"
 
@@ -363,17 +364,12 @@ int run_daemon(const DaemonOptions& options) {
     return 3;
   }
   if (!options.port_file.empty()) {
-    const std::string tmp = options.port_file + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "vppd: cannot write %s\n", tmp.c_str());
-      return 3;
-    }
-    std::fprintf(f, "%u\n", static_cast<unsigned>((*server)->port()));
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), options.port_file.c_str()) != 0) {
-      std::fprintf(stderr, "vppd: cannot publish %s\n",
-                   options.port_file.c_str());
+    const common::Status published = common::atomic_replace_file(
+        options.port_file, std::to_string((*server)->port()) + "\n");
+    if (!published) {
+      std::fprintf(stderr, "vppd: cannot publish %s: %s\n",
+                   options.port_file.c_str(),
+                   published.error().to_string().c_str());
       return 3;
     }
   }

@@ -17,6 +17,7 @@
 #include "core/campaign.hpp"
 #include "core/campaign_lease.hpp"
 #include "core/export.hpp"
+#include "harness/pattern_spec.hpp"
 
 namespace vppstudy::core {
 namespace {
@@ -106,6 +107,33 @@ TEST(CampaignShardGrid, IndexMapsRecordsBackToCells) {
   alien.row_begin = 9999;
   alien.row_end = 10001;
   EXPECT_EQ(index.find(alien), nullptr);
+}
+
+// Pattern points share every quantized coordinate but the pattern hash;
+// the engine's resume and the coordinator's merge both rely on the index
+// telling them apart.
+TEST(CampaignShardGrid, IndexSeparatesPointsThatDifferOnlyInPattern) {
+  CampaignPlan plan = small_plan();
+  harness::PatternSpec heavy = harness::uniform_double_sided_spec();
+  heavy.name = "heavy";
+  heavy.aggressors[0].amplitude = 2;
+  plan.axes.patterns = {harness::uniform_double_sided_spec(), heavy};
+  auto grid = compile_campaign_shards(plan, JobPhase::kRowHammer);
+  ASSERT_TRUE(grid.has_value()) << grid.error().to_string();
+  const ShardGridIndex index(*grid);
+  std::size_t pattern_cells = 0;
+  for (const ShardCoord& cell : *grid) {
+    if (cell.point.pattern_hash != 0) ++pattern_cells;
+    ManifestShard record;
+    record.module = cell.module;
+    record.point = cell.point;
+    record.row_begin = cell.row_begin;
+    record.row_end = cell.row_end;
+    const ShardCoord* found = index.find(record);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->index, cell.index);
+  }
+  EXPECT_GT(pattern_cells, 1u);
 }
 
 // --- Lease ledger state machine ---------------------------------------------
@@ -267,6 +295,63 @@ TEST(CampaignLeaseLedger, JsonRoundTripPreservesEveryField) {
   // reproduces the original bytes.
   EXPECT_EQ(campaign_ledger_json(*loaded).str(),
             campaign_ledger_json(ledger).str());
+}
+
+// The ledger journal replays to exactly the live ledger: grants (with the
+// expiry they trigger), renewals, submissions and reconciliations are
+// recorded as outcomes and re-applied in order.
+TEST(CampaignLeaseLedger, JournalReplayReproducesTheLiveLedger) {
+  CampaignLeaseLedger live = small_ledger(6);
+  const std::string path = temp_path("ledger_journal");
+  auto journal = write_campaign_ledger(path, live);
+  ASSERT_TRUE(journal.has_value()) << journal.error().to_string();
+  const auto record = [&](const LeaseEvent& event) {
+    ASSERT_TRUE(journal->append(lease_event_record(event)).ok());
+  };
+  const auto grant = [&](const char* worker, std::size_t n, std::int64_t now,
+                         std::int64_t ttl) {
+    const auto g = live.lease(worker, n, now, ttl);
+    LeaseEvent event;
+    event.kind = LeaseEvent::Kind::kGrant;
+    event.now_ms = now;
+    event.worker = worker;
+    event.token = g.token;
+    event.ttl_ms = ttl;
+    event.shards = g.shards;
+    record(event);
+    return g;
+  };
+  const auto a = grant("alice", 2, /*now=*/0, /*ttl=*/100);
+  (void)grant("bob", 2, /*now=*/10, /*ttl=*/1000);
+  ASSERT_EQ(live.renew(a.token, /*now_ms=*/50, /*ttl_ms=*/100), 2u);
+  LeaseEvent renew;
+  renew.kind = LeaseEvent::Kind::kRenew;
+  renew.now_ms = 50;
+  renew.token = a.token;
+  renew.ttl_ms = 100;
+  record(renew);
+  // alice's lease lapses at 150; carol's grant expires it first.
+  (void)grant("carol", 3, /*now=*/400, /*ttl=*/1000);
+  live.mark_done(2, "bob");
+  LeaseEvent done;
+  done.kind = LeaseEvent::Kind::kDone;
+  done.now_ms = 500;
+  done.worker = "bob";
+  done.shards = {2};
+  record(done);
+  ASSERT_TRUE(live.reconcile_done(5));
+  LeaseEvent reconciled;
+  reconciled.kind = LeaseEvent::Kind::kReconcile;
+  reconciled.shards = {5};
+  record(reconciled);
+  ASSERT_EQ(live.workers.size(), 3u);
+  EXPECT_EQ(live.workers[0].expired, 2u);
+
+  auto replayed = load_campaign_ledger(path);
+  ASSERT_TRUE(replayed.has_value()) << replayed.error().to_string();
+  EXPECT_EQ(campaign_ledger_json(*replayed).str(),
+            campaign_ledger_json(live).str());
+  std::remove(path.c_str());
 }
 
 TEST(CampaignLeaseLedger, LedgerPathSitsBesideManifest) {

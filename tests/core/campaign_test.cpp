@@ -12,6 +12,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -311,6 +313,97 @@ TEST(CampaignResume, SigkillMidShardResumesByteIdentical) {
   auto resumed = engine.run_hammer();
   ASSERT_TRUE(resumed.has_value()) << resumed.error().to_string();
   EXPECT_EQ(grid_documents(*resumed), grid_documents(*expected));
+  std::remove(path.c_str());
+}
+
+// Regression: the kill switch once cached VPP_CAMPAIGN_KILL_AFTER (and its
+// write count) in statics at the first checkpoint, so a process that had
+// written an unarmed checkpoint could never be armed -- a forked child
+// inherited "disarmed" and ran to completion.
+TEST(CampaignResume, KillSwitchArmsAfterUnarmedCheckpointsInProcess) {
+  ::unsetenv("VPP_CAMPAIGN_KILL_AFTER");
+  const std::string unarmed = temp_manifest_path("unarmed");
+  std::remove(unarmed.c_str());
+  {
+    CampaignPlan plan = small_plan(7, 1);
+    plan.manifest_path = unarmed;
+    ASSERT_TRUE(CampaignEngine(std::move(plan)).run_hammer().has_value());
+  }
+  std::remove(unarmed.c_str());
+
+  const std::string path = temp_manifest_path("armed_late");
+  std::remove(path.c_str());
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::setenv("VPP_CAMPAIGN_KILL_AFTER", "2", 1);
+    CampaignPlan plan = small_plan(7, 1);
+    plan.manifest_path = path;
+    (void)CampaignEngine(std::move(plan)).run_hammer();
+    ::_exit(0);  // unreachable when the kill switch fires
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "the kill switch never fired";
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  // Only the armed writes counted: the child died at its own 2nd record.
+  auto manifest = load_campaign_manifest(path);
+  ASSERT_TRUE(manifest.has_value()) << manifest.error().to_string();
+  EXPECT_EQ(manifest->wcdp.size() + manifest->shards.size(), 2u);
+  std::remove(path.c_str());
+}
+
+// Kill mid-append: a crash inside an append leaves half a record at the end
+// of the journal. Readers ignore it and leave it in place; the resuming
+// writer truncates it, and the merged result is byte-identical to an
+// uninterrupted run.
+TEST(CampaignResume, TornAppendResumesByteIdentical) {
+  CampaignEngine reference(small_plan(7, 1));
+  auto expected = reference.run_hammer();
+  ASSERT_TRUE(expected.has_value());
+
+  const std::string path = temp_manifest_path("torn_append");
+  std::remove(path.c_str());
+  {
+    CampaignPlan plan = small_plan(7, 3);
+    plan.manifest_path = path;
+    plan.max_new_shards = 2;
+    auto partial = CampaignEngine(std::move(plan)).run_hammer();
+    ASSERT_FALSE(partial.has_value());
+    ASSERT_EQ(partial.error().code, common::ErrorCode::kCancelled);
+  }
+  auto before = load_campaign_manifest(path);
+  ASSERT_TRUE(before.has_value()) << before.error().to_string();
+  ASSERT_FALSE(before->shards.empty());
+
+  // The first half of a real shard record's frame, as a crash would leave.
+  std::string frame;
+  common::append_journal_frame(
+      frame, campaign_shard_record(before->shards.front(), JobPhase::kRowHammer));
+  const auto intact = std::filesystem::file_size(path);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << frame.substr(0, frame.size() / 2);
+  }
+  auto torn = load_campaign_manifest(path);
+  ASSERT_TRUE(torn.has_value()) << torn.error().to_string();
+  EXPECT_EQ(torn->shards.size(), before->shards.size());
+  EXPECT_EQ(std::filesystem::file_size(path), intact + frame.size() / 2);
+
+  CampaignPlan plan = small_plan(7, 3);
+  plan.manifest_path = path;
+  auto resumed = CampaignEngine(std::move(plan)).run_hammer();
+  ASSERT_TRUE(resumed.has_value()) << resumed.error().to_string();
+  EXPECT_EQ(grid_documents(*resumed), grid_documents(*expected));
+
+  auto after = common::read_journal(path);
+  ASSERT_TRUE(after.has_value()) << after.error().to_string();
+  EXPECT_FALSE(after->torn_tail);
+  auto complete = load_campaign_manifest(path);
+  ASSERT_TRUE(complete.has_value());
+  EXPECT_EQ(complete->shards.size(), complete->planned_shards);
+  EXPECT_EQ(after->records.size(),
+            complete->wcdp.size() + complete->shards.size());
   std::remove(path.c_str());
 }
 

@@ -103,6 +103,7 @@
 
 #include "chips/module_db.hpp"
 #include "common/csv.hpp"
+#include "common/journal.hpp"
 #include "common/units.hpp"
 #include "core/campaign.hpp"
 #include "core/campaign_lease.hpp"
@@ -882,16 +883,11 @@ int cmd_campaign_distribute(const std::map<std::string, std::string>& flags) {
   }
   std::unique_ptr<server::Server> srv = std::move(*started);
   srv->service().adopt_campaign(coord);
-  if (!daemon.port_file.empty()) {
-    const std::string tmp = daemon.port_file + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr ||
-        std::fprintf(f, "%u\n", static_cast<unsigned>(srv->port())) < 0 ||
-        std::fclose(f) != 0 ||
-        std::rename(tmp.c_str(), daemon.port_file.c_str()) != 0) {
-      std::fprintf(stderr, "cannot publish %s\n", daemon.port_file.c_str());
-      return 3;
-    }
+  if (!daemon.port_file.empty() &&
+      !common::atomic_replace_file(daemon.port_file,
+                                   std::to_string(srv->port()) + "\n")) {
+    std::fprintf(stderr, "cannot publish %s\n", daemon.port_file.c_str());
+    return 3;
   }
   std::printf("coordinator on 127.0.0.1:%u: %llu shard(s), manifest %s\n",
               static_cast<unsigned>(srv->port()),
